@@ -18,6 +18,9 @@ func randomLocalCSR(rng *rand.Rand, nOwned, nGhost, deg int) *LocalCSR {
 	var val []float32
 	for i := 0; i < nOwned; i++ {
 		k := 1 + rng.Intn(deg*2)
+		if k > nOwned+nGhost {
+			k = nOwned + nGhost // distinct columns: a tiny operator caps the degree
+		}
 		cols := make([]int32, 0, k)
 		seen := map[int32]bool{}
 		for len(cols) < k {

@@ -111,6 +111,11 @@ func (s *ghostEntrySort) Swap(i, j int) {
 	s.val[i], s.val[j] = s.val[j], s.val[i]
 }
 
+// GhostCols returns row i's ghost columns (compact indices ≥ NOwned) in
+// storage order, which is ascending. The slice is owned by the LocalCSR;
+// callers must not mutate it.
+func (a *LocalCSR) GhostCols(i int) []int32 { return a.ColIdx[a.ghostStart[i]:a.RowPtr[i+1]] }
+
 // NumRows returns the number of output rows (owned vertices).
 func (a *LocalCSR) NumRows() int { return len(a.RowPtr) - 1 }
 

@@ -130,36 +130,60 @@ func (g *GhostOperand) accumRow(dst []float32, w float32, r int) {
 	g.rowB[r].AccumRow(dst, w, int(g.rowIx[r]))
 }
 
-// SpMMGhostPacked accumulates the ghost-column contributions into out like
-// SpMMGhostInto, but consumes the hybrid operand — packed rows are
-// dequantised on register, never materialised. Nil or empty operands are a
-// no-op.
-func (a *LocalCSR) SpMMGhostPacked(g *GhostOperand, out *tensor.Matrix) {
-	if g == nil || g.Rows == 0 {
+// SpMMRowsInto accumulates a subset of the product's rows into out: out
+// row k += row rows[k] of A·[owned; ghost]. rows may repeat and may name
+// rows without ghost columns. Each row accumulates as the split kernels
+// do — owned entries in storage order, then ghost entries in ascending
+// column order — so on a zeroed out, row k is bitwise row rows[k] of
+// SpMMOwnedInto followed by the ghost half over the whole operand,
+// independent of which other rows the subset holds.
+//
+// ghostRow maps every ghost slot (column − NOwned) to its row of ghost,
+// so the operand need only hold the slots the subset reads. A negative
+// entry marks a slot that could not be resolved: it contributes nothing.
+// ghost may be nil when no listed row has ghost columns.
+func (a *LocalCSR) SpMMRowsInto(rows []int32, owned *tensor.Matrix, ghost *GhostOperand, ghostRow []int32, out *tensor.Matrix) {
+	if out.Rows != len(rows) || out.Cols != owned.Cols || (ghost != nil && ghost.Cols != owned.Cols) {
+		panic(fmt.Sprintf("graph: SpMMRowsInto output %dx%d, want %dx%d",
+			out.Rows, out.Cols, len(rows), owned.Cols))
+	}
+	work := 0
+	if n := a.NumRows(); n > 0 {
+		work = len(rows) * (len(a.Val)/n + 1) * owned.Cols
+	}
+	if tensor.InlineRows(len(rows), work) {
+		a.rowsRange(rows, owned, ghost, ghostRow, out, 0, len(rows))
 		return
 	}
-	if out.Rows != a.NumRows() || out.Cols != g.Cols {
-		panic(fmt.Sprintf("graph: SpMMGhostPacked output %dx%d, want %dx%d",
-			out.Rows, out.Cols, a.NumRows(), g.Cols))
-	}
-	work := a.nnzGhost * g.Cols
-	if tensor.InlineRows(a.NumRows(), work) {
-		a.ghostPackedRange(g, out, 0, a.NumRows())
-		return
-	}
-	tensor.ParallelRows(a.NumRows(), work, func(lo, hi int) {
-		a.ghostPackedRange(g, out, lo, hi)
+	tensor.ParallelRows(len(rows), work, func(lo, hi int) {
+		a.rowsRange(rows, owned, ghost, ghostRow, out, lo, hi)
 	})
 }
 
-// ghostPackedRange accumulates owned rows [lo, hi) of the full-output
-// ghost product.
-func (a *LocalCSR) ghostPackedRange(g *GhostOperand, out *tensor.Matrix, lo, hi int) {
-	cols := g.Cols
-	for i := lo; i < hi; i++ {
-		orow := out.Data[i*cols : (i+1)*cols]
+// rowsRange accumulates subset entries [lo, hi) of SpMMRowsInto with
+// SpMMOwnedInto's owned loop and ghostCompactRange's ghost loop, the latter
+// through the slot map. The training kernels keep their own copies, so
+// their hot loops carry neither the map nor the register spills a shared
+// inlined helper caused in SpMMOwnedInto.
+func (a *LocalCSR) rowsRange(rows []int32, owned *tensor.Matrix, ghost *GhostOperand, ghostRow []int32, out *tensor.Matrix, lo, hi int) {
+	cols := owned.Cols
+	for k := lo; k < hi; k++ {
+		orow := out.Data[k*cols : (k+1)*cols]
+		i := int(rows[k])
+		for p := a.RowPtr[i]; p < a.ghostStart[i]; p++ {
+			c, w := a.ColIdx[p], a.Val[p]
+			hrow := owned.Data[int(c)*cols : (int(c)+1)*cols]
+			for j, x := range hrow {
+				orow[j] += w * x
+			}
+		}
+		if ghost == nil {
+			continue
+		}
 		for p := a.ghostStart[i]; p < a.RowPtr[i+1]; p++ {
-			g.accumRow(orow, a.Val[p], int(a.ColIdx[p])-a.NOwned)
+			if r := ghostRow[int(a.ColIdx[p])-a.NOwned]; r >= 0 {
+				ghost.accumRow(orow, a.Val[p], int(r))
+			}
 		}
 	}
 }

@@ -51,9 +51,9 @@ func packedFixture(rng *rand.Rand, nGhost, cols, bits int, zc bool,
 }
 
 // packedBitwiseTrial asserts, for one random scenario, that every packed
-// kernel schedule — full-output, compact direct, compact tiled, with and
-// without an arena — produces bit-identical float32 output to the decode
-// oracle (Decompress + the dense kernels).
+// kernel schedule — full-output, row-subset, compact direct, compact tiled,
+// with and without an arena — produces bit-identical float32 output to the
+// decode oracle (Decompress + the dense kernels).
 func packedBitwiseTrial(t testing.TB, rng *rand.Rand) {
 	nOwned := 1 + rng.Intn(80)
 	nGhost := rng.Intn(61)
@@ -75,14 +75,51 @@ func packedBitwiseTrial(t testing.TB, rng *rand.Rand) {
 	label := fmt.Sprintf("owned=%d ghost=%d deg=%d cols=%d bits=%d zc=%v dense=%v degen=%v",
 		nOwned, nGhost, deg, cols, bits, zc, denseFrac, degenerate)
 
-	// Full-output kernel vs SpMMGhostInto.
+	// Full-output reference vs SpMMGhostInto.
 	want := tensor.New(nOwned, cols)
 	a.SpMMGhostInto(oracle, want)
 	got := tensor.New(nOwned, cols)
-	a.SpMMGhostPacked(op, got)
+	spmmGhostPacked(a, op, got)
 	for i, w := range want.Data {
 		if got.Data[i] != w {
-			t.Fatalf("%s: SpMMGhostPacked[%d]=%v want %v", label, i, got.Data[i], w)
+			t.Fatalf("%s: spmmGhostPacked[%d]=%v want %v", label, i, got.Data[i], w)
+		}
+	}
+
+	// Row-subset kernel vs the split kernels over every row: a random row
+	// list with repeats, read through the hybrid operand, its dense
+	// decode, and a compact operand holding only the slots the list reads.
+	owned := randomMatrix(rng, nOwned, cols)
+	full := tensor.New(nOwned, cols)
+	a.SpMMOwnedInto(owned, full)
+	spmmGhostPacked(a, op, full)
+	rows := make([]int32, rng.Intn(2*nOwned+1))
+	for k := range rows {
+		rows[k] = int32(rng.Intn(nOwned))
+	}
+	identity := make([]int32, nGhost)
+	for s := range identity {
+		identity[s] = int32(s)
+	}
+	compact, ghostRow := compactOperand(a, rows, op)
+	for _, arm := range []struct {
+		name     string
+		g        *GhostOperand
+		ghostRow []int32
+	}{
+		{"hybrid", op, identity},
+		{"dense", NewGhostDense(oracle), identity},
+		{"compact", compact, ghostRow},
+	} {
+		got := tensor.New(len(rows), cols)
+		a.SpMMRowsInto(rows, owned, arm.g, arm.ghostRow, got)
+		for k, r := range rows {
+			for j, w := range full.Row(int(r)) {
+				if got.At(k, j) != w {
+					t.Fatalf("%s: SpMMRowsInto %s row %d (of %d)[%d]=%v want %v",
+						label, arm.name, k, r, j, got.At(k, j), w)
+				}
+			}
 		}
 	}
 
@@ -109,10 +146,51 @@ func packedBitwiseTrial(t testing.TB, rng *rand.Rand) {
 	}
 }
 
+// spmmGhostPacked is the full-output ghost product over a hybrid operand:
+// out[i] += row i's ghost entries in storage order. It is the reference the
+// compact and row-subset kernels are held to.
+func spmmGhostPacked(a *LocalCSR, g *GhostOperand, out *tensor.Matrix) {
+	for i := 0; i < a.NumRows(); i++ {
+		orow := out.Row(i)
+		for p := a.ghostStart[i]; p < a.RowPtr[i+1]; p++ {
+			g.accumRow(orow, a.Val[p], int(a.ColIdx[p])-a.NOwned)
+		}
+	}
+}
+
+// compactOperand copies the ghost rows that the given operator rows read
+// out of op into a fresh operand, in first-seen order, and returns it with
+// the slot → operand-row map (-1 for slots the rows never read).
+func compactOperand(a *LocalCSR, rows []int32, op *GhostOperand) (*GhostOperand, []int32) {
+	ghostRow := make([]int32, op.Rows)
+	for s := range ghostRow {
+		ghostRow[s] = -1
+	}
+	var slots []int
+	for _, r := range rows {
+		for _, c := range a.GhostCols(int(r)) {
+			if s := int(c) - a.NOwned; ghostRow[s] < 0 {
+				ghostRow[s] = int32(len(slots))
+				slots = append(slots, s)
+			}
+		}
+	}
+	out := NewGhostHybrid(len(slots), op.Cols)
+	for k, s := range slots {
+		if f := op.rowF[s]; f != nil {
+			out.SetRowDense(k, f)
+		} else {
+			out.SetRowPacked(k, op.rowB[s], int(op.rowIx[s]))
+		}
+	}
+	return out, ghostRow
+}
+
 // TestSpMMGhostPackedBitwise is the property test behind the packed-domain
 // SpMM: across random bit widths, shapes, degenerate domains, zero-centred
 // grids, and dense/packed peer mixes, computing on the wire format is
-// bit-for-bit equal to decode-then-SpMM.
+// bit-for-bit equal to decode-then-SpMM, and the row-subset kernel
+// reproduces the split kernels' rows exactly.
 func TestSpMMGhostPackedBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(20240803))
 	for trial := 0; trial < 120; trial++ {

@@ -64,7 +64,7 @@ func (p *qspmmPayload) packedArm(a *LocalCSR, op *GhostOperand, ar *tensor.Arena
 // aggregation straight off packed blocks vs decode-then-SpMM, at wire
 // widths B ∈ {2, 4, 8}. The gated speedup is the worst of the B ≤ 4 arms
 // (the EC training operating points) and must reach 1.25x; measured numbers
-// land in BENCH_qspmm.json at the repo root for the CI bench gate.
+// land in BENCH_qspmm.json (see benchPath) for the CI bench gate.
 func TestQuantizedSpMMSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark skipped in -short mode")
@@ -157,7 +157,7 @@ func TestQuantizedSpMMSpeedup(t *testing.T) {
 	t.Logf("packed vs decode: gated %.2fx (B=%d); all arms in BENCH_qspmm.json", sp, bitArms[gi])
 }
 
-// writeQspmmJSON records the benchmark at the repo root in the shared
+// writeQspmmJSON records the benchmark (see benchPath) in the shared
 // BENCH_*.json schema (see internal/worker's writeBenchJSON) so the CI
 // bench gate reads gate.ok uniformly. latency_ms is 0: this benchmark is
 // pure compute, no injected RTT.
@@ -183,10 +183,22 @@ func writeQspmmJSON(tb testing.TB, baseline, optimized time.Duration,
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join("..", "..", "BENCH_qspmm.json"), append(blob, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(benchPath(tb, "BENCH_qspmm.json"), append(blob, '\n'), 0o644); err != nil {
 		tb.Fatal(err)
 	}
 	return speedup
+}
+
+// benchPath is where a BENCH_*.json record goes: the directory named by
+// ECGRAPH_BENCH_DIR when set (CI points it at the checkout to gate and
+// archive the files), else a per-test temporary directory, so a plain
+// `go test ./...` never rewrites tracked files.
+func benchPath(tb testing.TB, file string) string {
+	dir := os.Getenv("ECGRAPH_BENCH_DIR")
+	if dir == "" {
+		dir = tb.TempDir()
+	}
+	return filepath.Join(dir, file)
 }
 
 // benchFixture builds the scenario once per bit width for the -benchmem

@@ -1,16 +1,14 @@
 package serve
 
 import (
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"ecgraph/internal/compress"
 )
 
-// ghostCache is a shard's cache of remote S^L rows, keyed by (version,
-// vertex). It is segmented — the key hashes to one of nCacheSegs
-// independently locked maps — so concurrent batch rounds and the swap
-// path's version drop never contend on one lock.
+// ghostCache is a shard's freshness policy for cached remote S^L rows; the
+// rows themselves live in each version's ghostTable.
 //
 // Freshness follows the degraded-fetch semantics of the training exchange
 // (internal/worker/exchange.go): a row younger than the TTL serves
@@ -19,18 +17,27 @@ import (
 // Per-version embeddings are immutable, so TTL 0 ("never expires") is the
 // exact configuration; a positive TTL exists to bound memory and to keep
 // the degraded path honest under chaos.
-const nCacheSegs = 16
-
-type cacheKey struct {
-	version uint32
-	id      int32
+type ghostCache struct {
+	ttl      time.Duration // 0: rows never expire
+	maxStale time.Duration // <0: unlimited last-good fallback; 0: none
+	now      func() time.Time
 }
 
+func newGhostCache(ttl, maxStale time.Duration, now func() time.Time) *ghostCache {
+	return &ghostCache{ttl: ttl, maxStale: maxStale, now: now}
+}
+
+// ghostTable is one model version's cache of remote S^L rows, indexed by
+// the shard's ghost slot. It is allocated at install and dropped with the
+// version, so a hit is a single atomic load: no lock, no map, no key.
+type ghostTable []atomic.Pointer[cacheEntry]
+
 // cacheEntry is immutable once stored: concurrent batch rounds read entries
-// outside the segment lock, so a row is never updated in place — put stores
-// a fresh entry. Exactly one representation is set: row (dense payloads,
-// WireBits 32) or pb/pr (row pr of a retained packed payload, the
-// PackedSpMM steady state — the cached bytes stay quantised end to end).
+// without a lock, so a row is never updated in place — a refetch stores a
+// fresh entry. Exactly one representation is set: row (dense payloads, or
+// any payload when PackedSpMM is off) or pb/pr (row pr of a retained packed
+// payload, the PackedSpMM steady state — the cached bytes stay quantised
+// end to end). fetched is the zero time when rows never expire.
 type cacheEntry struct {
 	row     []float32
 	pb      *compress.Blocked
@@ -38,9 +45,9 @@ type cacheEntry struct {
 	fetched time.Time
 }
 
-// denseRow materialises the entry as float32s — the degraded-fallback and
-// oracle paths. The decode is per call, not memoised: writing back would
-// mutate a shared entry under concurrent readers, and fallbacks are cold.
+// denseRow materialises the entry as float32s — the degraded-fallback
+// path. The decode is per call, not memoised: writing back would mutate a
+// shared entry under concurrent readers, and fallbacks are cold.
 func (e *cacheEntry) denseRow() []float32 {
 	if e.row != nil {
 		return e.row
@@ -50,125 +57,50 @@ func (e *cacheEntry) denseRow() []float32 {
 	return out
 }
 
-type cacheSeg struct {
-	mu sync.Mutex
-	m  map[cacheKey]*cacheEntry
-}
-
-type ghostCache struct {
-	segs     [nCacheSegs]cacheSeg
-	ttl      time.Duration // 0: rows never expire
-	maxStale time.Duration // <0: unlimited last-good fallback; 0: none
-	now      func() time.Time
-}
-
-func newGhostCache(ttl, maxStale time.Duration, now func() time.Time) *ghostCache {
-	c := &ghostCache{ttl: ttl, maxStale: maxStale, now: now}
-	for i := range c.segs {
-		c.segs[i].m = map[cacheKey]*cacheEntry{}
+// clock is the one clock reading a batch takes. Ages only matter when rows
+// can expire, so at TTL 0 it returns the zero time without reading the
+// clock at all.
+func (c *ghostCache) clock() time.Time {
+	if c.ttl == 0 {
+		return time.Time{}
 	}
-	return c
+	return c.now()
 }
 
-func (c *ghostCache) seg(k cacheKey) *cacheSeg {
-	return &c.segs[(uint32(k.id)^k.version*31)%nCacheSegs]
-}
-
-// lookup returns the row if it is fresh, else nil plus the last-good copy
-// (if any) with its age, letting the caller apply the staleness bound
-// after a failed refetch.
-func (c *ghostCache) lookup(version uint32, id int32) (fresh []float32, lastGood []float32, age time.Duration) {
-	k := cacheKey{version, id}
-	s := c.seg(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := s.m[k]
+// lookup returns the slot's entry if it is fresh at now (a clock reading),
+// else nil plus the last-good entry (if any) with its age, letting the
+// caller apply the staleness bound after a failed refetch.
+func (c *ghostCache) lookup(t ghostTable, slot int32, now time.Time) (fresh, lastGood *cacheEntry, age time.Duration) {
+	e := t[slot].Load()
 	if e == nil {
 		return nil, nil, 0
 	}
-	age = c.now().Sub(e.fetched)
-	row := e.denseRow()
-	if c.ttl == 0 || age <= c.ttl {
-		return row, row, age
+	if c.ttl == 0 {
+		return e, e, 0
 	}
-	return nil, row, age
-}
-
-// lookupPacked is lookup for the packed batch path: it hands back the entry
-// itself (immutable) so a packed row can feed the quantised-domain kernels
-// without materialising, and a dense row serve by reference.
-func (c *ghostCache) lookupPacked(version uint32, id int32) (fresh, lastGood *cacheEntry, age time.Duration) {
-	k := cacheKey{version, id}
-	s := c.seg(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := s.m[k]
-	if e == nil {
-		return nil, nil, 0
-	}
-	age = c.now().Sub(e.fetched)
-	if c.ttl == 0 || age <= c.ttl {
+	age = now.Sub(e.fetched)
+	if age <= c.ttl {
 		return e, e, age
 	}
 	return nil, e, age
 }
 
-// usableStale reports whether a last-good row of the given age may serve
+// usableStale reports whether a last-good entry of the given age may serve
 // after a failed refetch.
-func (c *ghostCache) usableStale(lastGood []float32, age time.Duration) bool {
+func (c *ghostCache) usableStale(lastGood *cacheEntry, age time.Duration) bool {
 	if lastGood == nil || c.maxStale == 0 {
 		return false
 	}
 	return c.maxStale < 0 || age <= c.maxStale
 }
 
-// usableStaleEntry is usableStale for packed lookups.
-func (c *ghostCache) usableStaleEntry(lastGood *cacheEntry, age time.Duration) bool {
-	if lastGood == nil || c.maxStale == 0 {
-		return false
-	}
-	return c.maxStale < 0 || age <= c.maxStale
-}
-
-func (c *ghostCache) put(version uint32, id int32, row []float32) {
-	k := cacheKey{version, id}
-	s := c.seg(k)
-	s.mu.Lock()
-	s.m[k] = &cacheEntry{row: row, fetched: c.now()}
-	s.mu.Unlock()
-}
-
-// putPacked caches row pr of the retained packed payload pb. Payloads are
-// shared between the entries of one fetch and must never be Released.
-func (c *ghostCache) putPacked(version uint32, id int32, pb *compress.Blocked, pr int) {
-	k := cacheKey{version, id}
-	s := c.seg(k)
-	s.mu.Lock()
-	s.m[k] = &cacheEntry{pb: pb, pr: pr, fetched: c.now()}
-	s.mu.Unlock()
-}
-
-// dropVersion frees every entry belonging to a dropped model version.
-func (c *ghostCache) dropVersion(version uint32) {
-	for i := range c.segs {
-		s := &c.segs[i]
-		s.mu.Lock()
-		for k := range s.m {
-			if k.version == version {
-				delete(s.m, k)
-			}
-		}
-		s.mu.Unlock()
-	}
-}
-
-func (c *ghostCache) size() int {
+// size counts the table's filled slots (test hook).
+func (t ghostTable) size() int {
 	n := 0
-	for i := range c.segs {
-		s := &c.segs[i]
-		s.mu.Lock()
-		n += len(s.m)
-		s.mu.Unlock()
+	for i := range t {
+		if t[i].Load() != nil {
+			n++
+		}
 	}
 	return n
 }

@@ -6,8 +6,9 @@
 // master/worker split): a front node owns admission, batching and version
 // control; shard nodes own a partition of the vertices and answer batch
 // inference and embedding-row fetches over the existing transport. The
-// data-plane reuses the training kernels directly — per-batch aggregation
-// runs through the split owned/ghost LocalCSR kernels (DESIGN.md §10), and
+// data-plane reuses the training kernels directly — a batch reads its
+// vertices' rows of the shard's prebuilt LocalCSR in place, accumulating
+// in the split owned/ghost kernels' order (DESIGN.md §10, §14), and
 // cross-shard neighbour rows ride the same ec wire format the training
 // exchange uses, so a serving replica tolerates slow peers with the same
 // staleness-bounded last-good fallback the degraded-fetch path established.
@@ -489,7 +490,7 @@ func (s *Service) Close() error {
 // CacheStats sums the shards' ghost-cache entry counts (test hook).
 func (s *Service) CacheStats() (entries int) {
 	for _, sh := range s.shards {
-		entries += sh.cache.size()
+		entries += sh.cacheSize()
 	}
 	return entries
 }

@@ -144,6 +144,36 @@ func TestMultiShardServingMatches(t *testing.T) {
 	requireBitwise(t, predictAll(t, svcB, d.Graph.N, 200), got, "cross-run determinism")
 }
 
+// TestServedLogitsBatchInvariant checks that a vertex's answer is a pure
+// function of (version, vertex): on a sharded service its logits predicted
+// alone must be bitwise equal to its logits inside a 256-vertex batch,
+// whatever ghost rows the batch's other vertices pull in.
+func TestServedLogitsBatchInvariant(t *testing.T) {
+	const n = 400
+	for _, name := range []string{"cora", "ogbn-products"} {
+		t.Run(name, func(t *testing.T) {
+			d := datasets.MustLoad(name)
+			svc := newTestService(t, d, Config{Shards: 2, BatchWait: -1})
+			if err := svc.SwapModel(testModel(d, nn.KindGCN, 19)); err != nil {
+				t.Fatal(err)
+			}
+			batched := predictAll(t, svc, n, 256)
+			alone := tensor.New(n, batched.Cols)
+			for v := 0; v < n; v++ {
+				results, err := svc.Predict([]int{v})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !results[0].OK {
+					t.Fatalf("vertex %d failed: %s", v, results[0].Err)
+				}
+				alone.SetRow(v, results[0].Logits)
+			}
+			requireBitwise(t, alone, batched, "logits alone vs in a batch")
+		})
+	}
+}
+
 // TestHotSwapUnderConcurrentLoad hammers Predict from many goroutines
 // while the model is swapped repeatedly. Every response must be bitwise
 // equal to the full-graph forward pass of the version it reports — no
@@ -326,8 +356,18 @@ func (f *failNet) CallMulti(src int, calls []transport.Call) []transport.Result 
 // its whole staleness ladder with a fake clock and an injectable-failure
 // network: fresh hit → expired-but-refetchable → expired with the peer
 // down (last-good degraded serve, bitwise-identical logits) → past the
-// staleness bound (per-vertex failure) → peer recovers.
+// staleness bound (per-vertex failure) → peer recovers. It runs with and
+// without PackedSpMM: a slot past every bound must contribute nothing on
+// either path, not leave a hole the kernel reads.
 func TestCacheTTLExpiryAndLastGoodFallback(t *testing.T) {
+	for _, packed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("packed=%v", packed), func(t *testing.T) {
+			testCacheTTLLadder(t, packed)
+		})
+	}
+}
+
+func testCacheTTLLadder(t *testing.T, packed bool) {
 	d := datasets.MustLoad("cora")
 	m := testModel(d, nn.KindGCN, 5)
 	clk := newFakeClock()
@@ -340,6 +380,7 @@ func TestCacheTTLExpiryAndLastGoodFallback(t *testing.T) {
 		CacheMaxStale: 10 * time.Second,
 		Clock:         clk.Now,
 		Metrics:       reg,
+		PackedSpMM:    packed,
 	})
 	if err := svc.SwapModel(m); err != nil {
 		t.Fatal(err)

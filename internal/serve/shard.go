@@ -3,10 +3,11 @@ package serve
 import (
 	"bytes"
 	"fmt"
-	"sort"
+	"math"
 	"sync"
 	"time"
 
+	"ecgraph/internal/compress"
 	"ecgraph/internal/ec"
 	"ecgraph/internal/graph"
 	"ecgraph/internal/nn"
@@ -47,11 +48,13 @@ func prepReq(version uint32, layer int, phase byte) []byte {
 // when the layer shrinks the dimension first, H^{l-1} otherwise, mirroring
 // nn.Model.Forward's dim-order branch exactly. After preparation only s[L]
 // (what request-time aggregation reads) and h[L-1] (the SAGE self term)
-// remain; the rest is freed.
+// remain; the rest is freed. ghosts caches the version's remote S^L rows
+// by ghost slot and goes away with the version.
 type versionState struct {
-	model *nn.Model
-	h     []*tensor.Matrix // len L, owned rows
-	s     []*tensor.Matrix // len L+1, s[0] unused
+	model  *nn.Model
+	h      []*tensor.Matrix // len L, owned rows
+	s      []*tensor.Matrix // len L+1, s[0] unused
+	ghosts ghostTable
 }
 
 // branchA reports whether layer l (1-based) transforms before aggregating
@@ -60,6 +63,10 @@ func (st *versionState) branchA(l int) bool {
 	return st.model.Dims[l-1] > st.model.Dims[l]
 }
 
+// notLocal marks, in shard.index, a vertex the shard neither owns nor
+// aggregates from.
+const notLocal = math.MinInt32
+
 // shard is one serving replica: it owns a vertex partition, prepares
 // per-version layer state under the front's barrier protocol, serves its
 // owned rows to peers, and answers batch inference over its owned
@@ -67,25 +74,31 @@ func (st *versionState) branchA(l int) bool {
 type shard struct {
 	id  int
 	cfg Config
-	adj *graph.NormAdjacency
 	net transport.Network
 
-	owner     []int32         // vertex → shard
-	owned     []int32         // owned global ids, ascending
-	localIdx  map[int32]int32 // global id → row in owned matrices
-	ownedFeat *tensor.Matrix  // owned rows of the feature matrix
+	owner []int32 // vertex → shard
+	owned []int32 // owned global ids, ascending
+
+	// index is the shard's view of every global id: a value ≥ 0 is the
+	// vertex's row in the owned matrices, a value < 0 is ^slot of a ghost,
+	// and notLocal marks every other vertex.
+	index     []int32
+	ownedFeat *tensor.Matrix // owned rows of the feature matrix
 
 	// Ghost topology, fixed at construction: every remote vertex any
 	// owned row aggregates from, with a dense slot numbering (ascending
 	// global id) and per-peer need lists for the preparation exchange.
-	ghostIDs  []int32
-	ghostSlot map[int32]int32
-	needs     map[int][]int32
+	ghostIDs []int32
+	needs    map[int][]int32
 
 	// prepCSR is the shard's slice of the global operator in compact
 	// columns (owned rows local-indexed, ghosts NOwned+slot), built once
-	// and reused by every layer of every version's preparation.
+	// and reused by every layer of every version's preparation and by
+	// every request-time batch.
 	prepCSR *graph.LocalCSR
+
+	// scratch pools the batch path's per-round ghost numbering.
+	scratch sync.Pool
 
 	cache   *ghostCache
 	metrics *serveMetrics
@@ -94,42 +107,50 @@ type shard struct {
 	versions map[uint32]*versionState
 }
 
+// batchScratch numbers one batch's ghost slots: opRow maps a shard ghost
+// slot to its row of the batch's ghost operand (-1 at rest, and for a slot
+// that could not be resolved), slots lists the numbered slots in operand
+// order.
+type batchScratch struct {
+	opRow []int32
+	slots []int32
+}
+
 func newShard(id int, cfg Config, adj *graph.NormAdjacency, owner []int32, net transport.Network) *shard {
 	sh := &shard{
-		id:        id,
-		cfg:       cfg,
-		adj:       adj,
-		net:       net,
-		owner:     owner,
-		localIdx:  map[int32]int32{},
-		ghostSlot: map[int32]int32{},
-		needs:     map[int][]int32{},
-		cache:     newGhostCache(cfg.CacheTTL, cfg.CacheMaxStale, cfg.Clock),
-		versions:  map[uint32]*versionState{},
+		id:       id,
+		cfg:      cfg,
+		net:      net,
+		owner:    owner,
+		index:    make([]int32, len(owner)),
+		needs:    map[int][]int32{},
+		cache:    newGhostCache(cfg.CacheTTL, cfg.CacheMaxStale, cfg.Clock),
+		versions: map[uint32]*versionState{},
 	}
-	for v := 0; v < len(owner); v++ {
+	for v := range sh.index {
+		sh.index[v] = notLocal
 		if owner[v] == int32(id) {
-			sh.localIdx[int32(v)] = int32(len(sh.owned))
+			sh.index[v] = int32(len(sh.owned))
 			sh.owned = append(sh.owned, int32(v))
 		}
 	}
-	ghostSet := map[int32]struct{}{}
+	// Mark every remote neighbour, then number the marks in ascending
+	// global id.
+	const ghostMark = notLocal + 1
 	for _, v := range sh.owned {
-		for p := adj.RowPtr[v]; p < adj.RowPtr[v+1]; p++ {
-			c := adj.ColIdx[p]
-			if owner[c] != int32(id) {
-				ghostSet[c] = struct{}{}
+		for _, c := range adj.ColIdx[adj.RowPtr[v]:adj.RowPtr[v+1]] {
+			if sh.index[c] == notLocal {
+				sh.index[c] = ghostMark
 			}
 		}
 	}
-	for g := range ghostSet {
-		sh.ghostIDs = append(sh.ghostIDs, g)
-	}
-	sort.Slice(sh.ghostIDs, func(i, j int) bool { return sh.ghostIDs[i] < sh.ghostIDs[j] })
-	for slot, g := range sh.ghostIDs {
-		sh.ghostSlot[g] = int32(slot)
-		peer := int(owner[g])
-		sh.needs[peer] = append(sh.needs[peer], g)
+	for g, x := range sh.index {
+		if x == ghostMark {
+			sh.index[g] = ^int32(len(sh.ghostIDs))
+			sh.ghostIDs = append(sh.ghostIDs, int32(g))
+			peer := int(owner[g])
+			sh.needs[peer] = append(sh.needs[peer], int32(g))
+		}
 	}
 
 	nOwned := len(sh.owned)
@@ -138,17 +159,25 @@ func newShard(id int, cfg Config, adj *graph.NormAdjacency, owner []int32, net t
 	var val []float32
 	for i, v := range sh.owned {
 		for p := adj.RowPtr[v]; p < adj.RowPtr[v+1]; p++ {
-			c := adj.ColIdx[p]
-			if owner[c] == int32(id) {
-				colIdx = append(colIdx, sh.localIdx[c])
-			} else {
-				colIdx = append(colIdx, int32(nOwned)+sh.ghostSlot[c])
+			c := sh.index[adj.ColIdx[p]]
+			if c < 0 {
+				c = int32(nOwned) + ^c
 			}
+			colIdx = append(colIdx, c)
 			val = append(val, adj.Val[p])
 		}
 		rowPtr[i+1] = int32(len(colIdx))
 	}
 	sh.prepCSR = graph.NewLocalCSR(nOwned, rowPtr, colIdx, val)
+
+	nGhost := len(sh.ghostIDs)
+	sh.scratch.New = func() any {
+		sc := &batchScratch{opRow: make([]int32, nGhost)}
+		for i := range sc.opRow {
+			sc.opRow[i] = -1
+		}
+		return sc
+	}
 
 	rows := make([]int, nOwned)
 	for i, v := range sh.owned {
@@ -156,6 +185,14 @@ func newShard(id int, cfg Config, adj *graph.NormAdjacency, owner []int32, net t
 	}
 	sh.ownedFeat = cfg.Features.GatherRows(rows)
 	return sh
+}
+
+// ownedRow returns the owned-matrix row of vertex id.
+func (sh *shard) ownedRow(id int32) (int32, error) {
+	if id < 0 || int(id) >= len(sh.index) || sh.index[id] < 0 {
+		return 0, fmt.Errorf("serve: shard %d: vertex %d not owned", sh.id, id)
+	}
+	return sh.index[id], nil
 }
 
 // handle is the shard's transport handler.
@@ -196,9 +233,10 @@ func (sh *shard) install(v uint32, modelBytes []byte) error {
 	}
 	L := m.NumLayers()
 	st := &versionState{
-		model: m,
-		h:     make([]*tensor.Matrix, L),
-		s:     make([]*tensor.Matrix, L+1),
+		model:  m,
+		h:      make([]*tensor.Matrix, L),
+		s:      make([]*tensor.Matrix, L+1),
+		ghosts: make(ghostTable, len(sh.ghostIDs)),
 	}
 	st.h[0] = sh.ownedFeat
 	sh.mu.Lock()
@@ -301,7 +339,7 @@ func (sh *shard) fetchPrepGhost(v uint32, l, cols int) (*tensor.Matrix, error) {
 		}
 		rows := ec.ParseMatrix(res.Resp)
 		for i, id := range sh.needs[peer] {
-			ghost.SetRow(int(sh.ghostSlot[id]), rows.Row(i))
+			ghost.SetRow(int(^sh.index[id]), rows.Row(i))
 		}
 	}
 	return ghost, nil
@@ -321,9 +359,9 @@ func (sh *shard) rows(v uint32, l int, ids []int32) ([]byte, error) {
 	}
 	rows := make([]int, len(ids))
 	for i, id := range ids {
-		li, ok := sh.localIdx[id]
-		if !ok {
-			return nil, fmt.Errorf("serve: shard %d: vertex %d not owned", sh.id, id)
+		li, err := sh.ownedRow(id)
+		if err != nil {
+			return nil, err
 		}
 		rows[i] = int(li)
 	}
@@ -334,17 +372,27 @@ func (sh *shard) rows(v uint32, l int, ids []int32) ([]byte, error) {
 	return ec.RespondRaw(sub), nil
 }
 
-// drop frees a version's state and its cached ghost rows.
+// drop frees a version's state, its cached ghost rows included.
 func (sh *shard) drop(v uint32) {
 	sh.mu.Lock()
 	delete(sh.versions, v)
 	sh.mu.Unlock()
-	sh.cache.dropVersion(v)
 }
 
-// batch answers inference for a batch of owned vertices: build the batch's
-// compact CSR slice, aggregate s[L] rows through the split kernels (ghost
-// rows via the TTL cache), apply the final dense transform, and return
+// cacheSize counts the cached ghost rows across installed versions.
+func (sh *shard) cacheSize() int {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	n := 0
+	for _, st := range sh.versions {
+		n += st.ghosts.size()
+	}
+	return n
+}
+
+// batch answers inference for a batch of owned vertices: aggregate the
+// vertices' rows of the shard's prebuilt operator over s[L] (ghost rows via
+// the version's cache), apply the final dense transform, and return
 // per-vertex logits with an ok flag each.
 func (sh *shard) batch(v uint32, ids []int32) ([]byte, error) {
 	st, err := sh.version(v)
@@ -363,77 +411,47 @@ func (sh *shard) batch(v uint32, ids []int32) ([]byte, error) {
 	return resp, nil
 }
 
+// batchLogits reads the batch's rows of prepCSR in place: owned columns
+// address s[L] directly, ghost columns address a ghost operand holding
+// only the slots the batch reads. Each row accumulates exactly as
+// preparation's split kernels would (owned entries in storage order, then
+// ghosts in ascending slot), so a vertex's logits are a function of the
+// version and the vertex alone, not of the batch it rides in.
 func (sh *shard) batchLogits(v uint32, st *versionState, ids []int32) (*tensor.Matrix, []byte, error) {
 	L := st.model.NumLayers()
 	src := st.s[L]
 	if src == nil {
 		return nil, nil, fmt.Errorf("serve: shard %d: version %d not prepared", sh.id, v)
 	}
-
-	// First pass: assign batch-compact column slots. Owned columns get
-	// their first-seen order (encoded as-is), ghosts theirs (encoded as
-	// ^slot until the owned count is final).
-	nBatch := len(ids)
-	rowPtr := make([]int32, nBatch+1)
-	var colIdx []int32
-	var val []float32
-	ownedSlot := map[int32]int32{}
-	var ownedRows []int // batch owned slot → local row in src
-	ghostSlot := map[int32]int32{}
-	var ghostIDs []int32
-	selfRows := make([]int, nBatch)
+	rows := make([]int32, len(ids))
 	for bi, id := range ids {
-		li, ok := sh.localIdx[id]
-		if !ok {
-			return nil, nil, fmt.Errorf("serve: shard %d: vertex %d not owned", sh.id, id)
+		li, err := sh.ownedRow(id)
+		if err != nil {
+			return nil, nil, err
 		}
-		selfRows[bi] = int(li)
-		for p := sh.adj.RowPtr[id]; p < sh.adj.RowPtr[id+1]; p++ {
-			c := sh.adj.ColIdx[p]
-			if sh.owner[c] == int32(sh.id) {
-				slot, ok := ownedSlot[c]
-				if !ok {
-					slot = int32(len(ownedRows))
-					ownedSlot[c] = slot
-					ownedRows = append(ownedRows, int(sh.localIdx[c]))
-				}
-				colIdx = append(colIdx, slot)
-			} else {
-				slot, ok := ghostSlot[c]
-				if !ok {
-					slot = int32(len(ghostIDs))
-					ghostSlot[c] = slot
-					ghostIDs = append(ghostIDs, c)
-				}
-				colIdx = append(colIdx, ^slot)
-			}
-			val = append(val, sh.adj.Val[p])
-		}
-		rowPtr[bi+1] = int32(len(colIdx))
-	}
-	nOwned := int32(len(ownedRows))
-	for i, c := range colIdx {
-		if c < 0 {
-			colIdx[i] = nOwned + ^c
-		}
+		rows[bi] = li
 	}
 
-	csr := graph.NewLocalCSR(int(nOwned), rowPtr, colIdx, val)
-	agg := tensor.New(nBatch, src.Cols)
-	csr.SpMMOwnedInto(src.GatherRows(ownedRows), agg)
-	var failed map[int32]bool
-	if sh.cfg.PackedSpMM {
-		// Quantised-domain aggregation: cached rows that arrived packed
-		// (WireBits < 32) feed the fold directly, dequantised on register —
-		// bitwise what decode-then-SpMMGhostInto computes.
-		var ghost *graph.GhostOperand
-		ghost, failed = sh.resolveGhostsOp(v, L, ghostIDs, src.Cols)
-		csr.SpMMGhostPacked(ghost, agg)
-	} else {
-		var ghost *tensor.Matrix
-		ghost, failed = sh.resolveGhosts(v, L, ghostIDs, src.Cols)
-		csr.SpMMGhostInto(ghost, agg)
+	sc := sh.scratch.Get().(*batchScratch)
+	defer func() {
+		for _, s := range sc.slots {
+			sc.opRow[s] = -1
+		}
+		sc.slots = sc.slots[:0]
+		sh.scratch.Put(sc)
+	}()
+	nOwned := int32(len(sh.owned))
+	for _, r := range rows {
+		for _, c := range sh.prepCSR.GhostCols(int(r)) {
+			if s := c - nOwned; sc.opRow[s] < 0 {
+				sc.opRow[s] = int32(len(sc.slots))
+				sc.slots = append(sc.slots, s)
+			}
+		}
 	}
+	ghost, nFailed := sh.resolveGhosts(v, st, sc, src.Cols)
+	agg := tensor.New(len(rows), src.Cols)
+	sh.prepCSR.SpMMRowsInto(rows, src, ghost, sc.opRow, agg)
 
 	layer := st.model.Layers[L-1]
 	logits := agg
@@ -441,18 +459,22 @@ func (sh *shard) batchLogits(v uint32, st *versionState, ids []int32) (*tensor.M
 		logits = agg.MatMul(layer.W)
 	}
 	if layer.WSelf != nil {
+		selfRows := make([]int, len(rows))
+		for bi, r := range rows {
+			selfRows[bi] = int(r)
+		}
 		logits.AddInPlace(st.h[L-1].GatherRows(selfRows).MatMul(layer.WSelf))
 	}
 	logits.AddRowVector(layer.Bias)
 
-	flags := make([]byte, nBatch)
-	for bi, id := range ids {
+	flags := make([]byte, len(rows))
+	for bi, r := range rows {
 		flags[bi] = 1
-		if len(failed) == 0 {
+		if nFailed == 0 {
 			continue
 		}
-		for p := sh.adj.RowPtr[id]; p < sh.adj.RowPtr[id+1]; p++ {
-			if failed[sh.adj.ColIdx[p]] {
+		for _, c := range sh.prepCSR.GhostCols(int(r)) {
+			if sc.opRow[c-nOwned] < 0 {
 				flags[bi] = 0
 				row := logits.Row(bi)
 				for j := range row {
@@ -465,157 +487,113 @@ func (sh *shard) batchLogits(v uint32, st *versionState, ids []int32) (*tensor.M
 	return logits, flags, nil
 }
 
-// resolveGhosts fills the batch's ghost matrix (rows in ghostIDs order)
-// from the TTL cache, refetching misses from the owning peers. A failed
+// pendingGhost is one cache miss awaiting its refetch: operand row k,
+// shard ghost slot, and the expired entry to fall back on.
+type pendingGhost struct {
+	k, slot  int32
+	lastGood *cacheEntry
+	age      time.Duration
+}
+
+// resolveGhosts builds the batch's ghost operand: row k holds ghost slot
+// sc.slots[k] of the version's S^L, from the version's cache table or
+// refetched from the owning peer. The batch reads the clock at most once
+// (never at TTL 0) and adds to the hit and miss counters once. A failed
 // refetch falls back to the last-good row within the staleness bound
-// (served degraded); vertices beyond every bound land in the failed set
-// and their dependents answer per-vertex errors.
-func (sh *shard) resolveGhosts(v uint32, l int, ghostIDs []int32, cols int) (*tensor.Matrix, map[int32]bool) {
-	if len(ghostIDs) == 0 {
-		return nil, nil
+// (served degraded); a slot beyond every bound is marked failed in
+// sc.opRow (-1), contributes nothing, and is counted in the result so its
+// dependents answer per-vertex errors. With PackedSpMM, rows that arrive
+// quantised stay packed in the cache and the operand; otherwise every row
+// is decoded on arrival.
+func (sh *shard) resolveGhosts(v uint32, st *versionState, sc *batchScratch, cols int) (*graph.GhostOperand, int) {
+	if len(sc.slots) == 0 {
+		return nil, 0
 	}
-	ghost := tensor.New(len(ghostIDs), cols)
-	type pending struct {
-		id       int32
-		slot     int32
-		lastGood []float32
-		age      time.Duration
-	}
-	byPeer := map[int][]pending{}
-	for slot, id := range ghostIDs {
-		fresh, lastGood, age := sh.cache.lookup(v, id)
+	ghost := graph.NewGhostHybrid(len(sc.slots), cols)
+	now := sh.cache.clock()
+	var byPeer [][]pendingGhost
+	misses := 0
+	for k, s := range sc.slots {
+		fresh, lastGood, age := sh.cache.lookup(st.ghosts, s, now)
 		if fresh != nil {
-			sh.metrics.cacheHit.Inc()
-			ghost.SetRow(slot, fresh)
+			setGhostRow(ghost, k, fresh)
 			continue
 		}
-		sh.metrics.cacheMiss.Inc()
-		peer := int(sh.owner[id])
-		byPeer[peer] = append(byPeer[peer], pending{id: id, slot: int32(slot), lastGood: lastGood, age: age})
-	}
-	if len(byPeer) == 0 {
-		return ghost, nil
-	}
-	calls := make([]transport.Call, 0, len(byPeer))
-	peers := make([]int, 0, len(byPeer))
-	for peer, pend := range byPeer {
-		ids := make([]int32, len(pend))
-		for i, p := range pend {
-			ids[i] = p.id
+		if byPeer == nil {
+			byPeer = make([][]pendingGhost, sh.cfg.Shards)
 		}
-		w := transport.GetWriter(9 + 4*len(ids))
+		peer := sh.owner[sh.ghostIDs[s]]
+		byPeer[peer] = append(byPeer[peer], pendingGhost{k: int32(k), slot: s, lastGood: lastGood, age: age})
+		misses++
+	}
+	sh.metrics.cacheHit.Add(float64(len(sc.slots) - misses))
+	if misses == 0 {
+		return ghost, 0
+	}
+	sh.metrics.cacheMiss.Add(float64(misses))
+
+	var calls []transport.Call
+	var peers []int
+	for peer, pend := range byPeer {
+		if len(pend) == 0 {
+			continue
+		}
+		w := transport.GetWriter(9 + 4*len(pend))
 		w.Uint32(v)
-		w.Byte(byte(l))
-		w.Int32s(ids)
+		w.Byte(byte(st.model.NumLayers()))
+		w.Uint32(uint32(len(pend)))
+		for _, p := range pend {
+			w.Int32(sh.ghostIDs[p.slot])
+		}
 		calls = append(calls, transport.Call{Dst: peer, Method: methodRows, Req: append([]byte(nil), w.Bytes()...)})
 		peers = append(peers, peer)
 		w.Release()
 	}
-	failed := map[int32]bool{}
+	failed := 0
 	for ci, res := range sh.net.CallMulti(sh.id, calls) {
 		pend := byPeer[peers[ci]]
 		if res.Err == nil {
-			rows := ec.ParseMatrix(res.Resp)
+			var rows *tensor.Matrix
+			var blk *compress.Blocked
+			if sh.cfg.PackedSpMM {
+				rows, blk = ec.ParsePacked(res.Resp)
+			} else {
+				rows = ec.ParseMatrix(res.Resp)
+			}
 			for i, p := range pend {
-				row := append([]float32(nil), rows.Row(i)...)
-				sh.cache.put(v, p.id, row)
-				ghost.SetRow(int(p.slot), row)
+				e := &cacheEntry{pb: blk, pr: i, fetched: now}
+				if blk == nil {
+					e = &cacheEntry{row: rows.Row(i), fetched: now}
+				}
+				st.ghosts[p.slot].Store(e)
+				setGhostRow(ghost, int(p.k), e)
 			}
 			continue
 		}
 		// Degraded fetch: the peer is down or slow. Serve the last-good
-		// row if it is within the staleness bound, fail the vertex
-		// otherwise — same policy the training exchange applies to
-		// ghost embeddings (DESIGN.md §12).
+		// row if it is within the staleness bound, fail the slot
+		// otherwise — same policy the training exchange applies to ghost
+		// embeddings (DESIGN.md §12). A packed last-good entry
+		// materialises per use (fallbacks are cold).
 		sh.metrics.cacheDegraded.Inc()
 		for _, p := range pend {
 			if sh.cache.usableStale(p.lastGood, p.age) {
 				sh.metrics.cacheStale.Inc()
-				ghost.SetRow(int(p.slot), p.lastGood)
+				ghost.SetRowDense(int(p.k), p.lastGood.denseRow())
 			} else {
-				failed[p.id] = true
+				sc.opRow[p.slot] = -1
+				failed++
 			}
 		}
 	}
 	return ghost, failed
 }
 
-// resolveGhostsOp is resolveGhosts for the packed batch path: cache hits
-// and refetches that arrive quantised stay in wire form inside the hybrid
-// operand (and in the cache); raw rows and stale fallbacks land dense.
-func (sh *shard) resolveGhostsOp(v uint32, l int, ghostIDs []int32, cols int) (*graph.GhostOperand, map[int32]bool) {
-	if len(ghostIDs) == 0 {
-		return nil, nil
+// setGhostRow installs a cache entry as operand row k, by reference.
+func setGhostRow(ghost *graph.GhostOperand, k int, e *cacheEntry) {
+	if e.pb != nil {
+		ghost.SetRowPacked(k, e.pb, e.pr)
+	} else {
+		ghost.SetRowDense(k, e.row)
 	}
-	ghost := graph.NewGhostHybrid(len(ghostIDs), cols)
-	type pending struct {
-		id       int32
-		slot     int32
-		lastGood *cacheEntry
-		age      time.Duration
-	}
-	byPeer := map[int][]pending{}
-	for slot, id := range ghostIDs {
-		fresh, lastGood, age := sh.cache.lookupPacked(v, id)
-		if fresh != nil {
-			sh.metrics.cacheHit.Inc()
-			if fresh.pb != nil {
-				ghost.SetRowPacked(slot, fresh.pb, fresh.pr)
-			} else {
-				ghost.SetRowDense(slot, fresh.row)
-			}
-			continue
-		}
-		sh.metrics.cacheMiss.Inc()
-		peer := int(sh.owner[id])
-		byPeer[peer] = append(byPeer[peer], pending{id: id, slot: int32(slot), lastGood: lastGood, age: age})
-	}
-	if len(byPeer) == 0 {
-		return ghost, nil
-	}
-	calls := make([]transport.Call, 0, len(byPeer))
-	peers := make([]int, 0, len(byPeer))
-	for peer, pend := range byPeer {
-		ids := make([]int32, len(pend))
-		for i, p := range pend {
-			ids[i] = p.id
-		}
-		w := transport.GetWriter(9 + 4*len(ids))
-		w.Uint32(v)
-		w.Byte(byte(l))
-		w.Int32s(ids)
-		calls = append(calls, transport.Call{Dst: peer, Method: methodRows, Req: append([]byte(nil), w.Bytes()...)})
-		peers = append(peers, peer)
-		w.Release()
-	}
-	failed := map[int32]bool{}
-	for ci, res := range sh.net.CallMulti(sh.id, calls) {
-		pend := byPeer[peers[ci]]
-		if res.Err == nil {
-			rows, blk := ec.ParsePacked(res.Resp)
-			for i, p := range pend {
-				if blk != nil {
-					sh.cache.putPacked(v, p.id, blk, i)
-					ghost.SetRowPacked(int(p.slot), blk, i)
-				} else {
-					row := append([]float32(nil), rows.Row(i)...)
-					sh.cache.put(v, p.id, row)
-					ghost.SetRowDense(int(p.slot), row)
-				}
-			}
-			continue
-		}
-		// Same degraded policy as resolveGhosts; a packed last-good entry
-		// materialises per use (fallbacks are cold).
-		sh.metrics.cacheDegraded.Inc()
-		for _, p := range pend {
-			if sh.cache.usableStaleEntry(p.lastGood, p.age) {
-				sh.metrics.cacheStale.Inc()
-				ghost.SetRowDense(int(p.slot), p.lastGood.denseRow())
-			} else {
-				failed[p.id] = true
-			}
-		}
-	}
-	return ghost, failed
 }
