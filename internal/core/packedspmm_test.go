@@ -15,9 +15,9 @@ import (
 // aggregation computed directly on packed wire payloads — must produce
 // bitwise-identical per-epoch losses, final parameters and final logits to
 // the decode-first oracle, for every packed-eligible wire scheme. The
-// chaos arm drops ghost exchanges so the degraded path runs too: last-good
-// state retained in packed form must materialise to exactly the rows the
-// oracle cached dense.
+// chaos arm drops ghost exchanges so the degraded path runs too: fallback
+// rows materialised from last-good state retained in packed form must fold
+// identically under both kernels.
 func TestPackedSpMMMatchesDecodeOracle(t *testing.T) {
 	const epochs = 10
 

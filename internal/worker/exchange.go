@@ -32,28 +32,83 @@ func (w *Worker) callPeer(j int, method string, req []byte) ([]byte, error) {
 	return res[0].Resp, res[0].Err
 }
 
-// encodeGhostReq builds the common getH/getG request header into a pooled
-// writer; the caller must Release it after CallMulti returns.
-func (w *Worker) encodeGhostReq(l, t int, subset bool) *transport.Writer {
-	req := transport.GetWriter(16)
-	req.Byte(byte(l))
-	req.Uint32(uint32(t))
-	req.Int32(int32(w.id))
-	if !subset {
-		req.Byte(0) // no subset
-	}
-	return req
+// ghostChannel is one direction of the ghost exchange: getH for the
+// forward pass (Alg. 3 on the requesting end), getG for the backward pass
+// (Alg. 5). Both directions move the same thing — the ghost rows of one
+// layer from every owning peer — and differ only in the state the channel
+// carries: the H channel holds the ReqEC-FP requester under SchemeEC and
+// the DistGNN delayed caches, the G channel neither (ResEC-BP keeps its
+// compensation on the responder).
+//
+// An exchange runs in two halves. issue resolves proactive skips, encodes
+// one call per remaining peer and hands them to the transport's CallMulti
+// in one batch; collect merges the results into the layer's ghost operand.
+// Only the CallMulti itself ever leaves the epoch goroutine: decode, the EC
+// requester state and the degraded bookkeeping run inside collect, walking
+// ghostOwner order with rows landing at fixed ghostBase offsets, so the
+// operand and every state mutation are the same whatever order the calls
+// complete in and whichever epoch mode ran the batch.
+//
+// When an exchange fails even after the transport's own retries, the
+// channel degrades gracefully instead of aborting the epoch: it serves the
+// ReqEC-FP linear prediction when it keeps trend state, or the peer's last
+// successfully fetched rows, subject to the MaxStaleEpochs bound. Peers
+// the supervision layer flags suspect are skipped proactively — the same
+// fallback, without waiting out retries — as long as the bound holds.
+type ghostChannel struct {
+	w      *Worker
+	method string // MethodGetH or MethodGetG
+	dir    byte   // 'H' or 'G', naming the exchange in errors and traces
+	// subsetFlag marks getH's request layout, which carries a flag byte
+	// for the delayed path's refresh subset.
+	subsetFlag bool
+	// req is the ReqEC-FP requester state per [layer][owner]; nil unless
+	// this is the H channel under SchemeEC. Its Parse maintains the trend
+	// the prediction fallback reads, so the payloads it decodes land dense.
+	req [][]*ec.ForwardRequester
+	// delayed holds the DistGNN delayed-aggregation cache per layer; nil
+	// unless this is the H channel with DelayRounds ≥ 2. Such exchanges
+	// are deferred: collect performs the whole refresh inline.
+	delayed []*tensor.Matrix
+	// last is the degraded-mode state per [layer][owner]; only the epoch
+	// goroutine touches it.
+	last [][]goodRows
 }
 
-// pendingGhost is one ghost exchange split into an issue half and a collect
-// half. The issue half resolves proactive skips and encodes the per-peer
-// calls (epoch goroutine — it touches EC prediction state and the
-// degraded-mode counters), then optionally fires the batch on a background
-// goroutine. The collect half joins the batch and runs decode/merge, again
-// on the epoch goroutine: only the transport call itself ever leaves it, so
-// the EC requester state, the degraded bookkeeping and the responder-side
-// compensation it triggers see the exact same single-threaded sequence as a
-// blocking fetch.
+// goodRows is the last successful exchange with one owner at one layer and
+// the epoch it arrived, which bounds how stale a served fallback may be
+// (-1: none yet). A payload that arrived packed is retained packed and
+// materialised to rows by the first fallback that needs it. Retained
+// payloads are never Released — a pooled reclaim could hand their words to
+// a later payload while a degraded epoch still reads them.
+type goodRows struct {
+	rows   *tensor.Matrix
+	packed *compress.Blocked
+	epoch  int
+}
+
+func newGhostChannel(w *Worker, method string, dir byte, layers, peers int) *ghostChannel {
+	c := &ghostChannel{w: w, method: method, dir: dir, last: make([][]goodRows, layers)}
+	for l := range c.last {
+		c.last[l] = make([]goodRows, peers)
+	}
+	c.reset()
+	return c
+}
+
+// reset forgets every last-good payload and empties the delayed caches.
+func (c *ghostChannel) reset() {
+	for l := range c.last {
+		for j := range c.last[l] {
+			c.last[l][j] = goodRows{epoch: -1}
+		}
+	}
+	for l := range c.delayed {
+		c.delayed[l] = nil
+	}
+}
+
+// pendingGhost is one issued exchange awaiting its collect.
 type pendingGhost struct {
 	// deferred marks an exchange with nothing to put on the wire early —
 	// no ghosts at all, or the delayed-aggregation cache path — where
@@ -63,7 +118,8 @@ type pendingGhost struct {
 	callIdx  map[int]int            // peer → index into calls/results
 	calls    []transport.Call
 	writers  []*transport.Writer
-	done     chan []transport.Result // nil when no calls go out
+	results  []transport.Result      // set when the batch ran inline
+	done     chan []transport.Result // set when the batch was fired
 	// Overlap-window accounting: firedAt is stamped before the batch
 	// goroutine launches, doneAt by that goroutine just before the channel
 	// send (so the collector's read after the receive is race-free).
@@ -71,10 +127,18 @@ type pendingGhost struct {
 	doneAt  time.Time
 }
 
-// fire launches the batch asynchronously. The goroutine only performs the
-// CallMulti and releases the pooled request writers; the buffered channel
-// means it never blocks on the collector, so error paths that join late (or
-// a test that joins much later) cannot leak it.
+// call performs the batch and releases the pooled request writers.
+func (p *pendingGhost) call(w *Worker) []transport.Result {
+	results := w.cfg.Net.CallMulti(w.id, p.calls)
+	for _, wr := range p.writers {
+		wr.Release()
+	}
+	return results
+}
+
+// fire launches the batch asynchronously. The buffered channel means the
+// goroutine never blocks on the collector, so error paths that join late
+// (or a test that joins much later) cannot leak it.
 //
 // The Gosched matters: the issuing goroutine is about to enter the overlap
 // window's tight matmul/SpMM loops, which have no scheduling points, and
@@ -92,136 +156,97 @@ func (p *pendingGhost) fire(w *Worker) {
 	p.done = make(chan []transport.Result, 1)
 	p.firedAt = time.Now()
 	go func() {
-		results := w.cfg.Net.CallMulti(w.id, p.calls)
-		for _, wr := range p.writers {
-			wr.Release()
-		}
+		results := p.call(w)
 		p.doneAt = time.Now()
 		p.done <- results
 	}()
 	runtime.Gosched()
 }
 
-// callInline runs the batch synchronously on the caller's goroutine — the
-// sequential path's barrier semantics.
-func (p *pendingGhost) callInline(w *Worker) []transport.Result {
-	if len(p.calls) == 0 {
-		return nil
-	}
-	results := w.cfg.Net.CallMulti(w.id, p.calls)
-	for _, wr := range p.writers {
-		wr.Release()
-	}
-	return results
+// encodeReq builds the request header common to both directions into a
+// pooled writer; the caller must Release it after CallMulti returns.
+func (c *ghostChannel) encodeReq(l, t int) *transport.Writer {
+	req := transport.GetWriter(16)
+	req.Byte(byte(l))
+	req.Uint32(uint32(t))
+	req.Int32(int32(c.w.id))
+	return req
 }
 
-// join blocks until the fired batch completes and returns its results.
-func (p *pendingGhost) join() []transport.Result {
-	if p.done == nil {
-		return nil
-	}
-	return <-p.done
-}
-
-// buildGhostH resolves proactive skips and encodes the getH(l, t) call per
-// remaining peer. Epoch goroutine only: skip resolution reads EC trend
-// state and increments the degraded counters.
-func (w *Worker) buildGhostH(l, t int) *pendingGhost {
+// build resolves proactive skips and encodes the (l, t) call per remaining
+// peer. Epoch goroutine only: skip resolution reads EC trend state and
+// increments the degraded counters.
+func (c *ghostChannel) build(l, t int) *pendingGhost {
+	w := c.w
 	p := &pendingGhost{
 		served:  make(map[int]*tensor.Matrix, len(w.ghostOwner)),
 		callIdx: make(map[int]int, len(w.ghostOwner)),
 	}
 	for _, j := range w.ghostOwner {
-		if skipped := w.skipFallbackH(l, t, j); skipped != nil {
+		if skipped := c.skipFallback(l, t, j); skipped != nil {
 			p.served[j] = skipped
 			continue
 		}
-		req := w.encodeGhostReq(l, t, false)
+		req := c.encodeReq(l, t)
+		if c.subsetFlag {
+			req.Byte(0) // no subset
+		}
 		p.callIdx[j] = len(p.calls)
 		p.calls = append(p.calls, transport.Call{
-			Dst: j, Method: MethodGetH, Req: req.Bytes(), Timeout: w.peerTimeout(j),
+			Dst: j, Method: c.method, Req: req.Bytes(), Timeout: w.peerTimeout(j),
 		})
 		p.writers = append(p.writers, req)
 	}
 	return p
 }
 
-// fetchGhostH gathers the ghost rows of H^l for iteration t from every
-// owning peer (Alg. 3 on the requesting end), decoding per the configured
-// forward scheme. With delayed aggregation only the epoch's refresh subset
-// travels; the rest comes from the stale cache.
-//
-// The exchange runs in two phases. The request phase resolves proactive
-// skips, then hands the remaining peers' calls to the transport's CallMulti
-// in one batch — under the Concurrent wrapper they fan out across bounded
-// goroutines, with per-call straggler deadlines attached. The decode/merge
-// phase then walks ghostOwner order on the epoch goroutine: results are
-// index-aligned with the calls, rows land at fixed ghostBase offsets, and
-// the EC requester state plus degraded-mode bookkeeping stay
-// single-threaded, so the merged matrix is deterministic regardless of
-// completion order. issueGhostH/collectGhostH split the same two phases
-// across an overlap window instead of running them back to back.
-//
-// When an exchange fails even after the transport's own retries, the worker
-// degrades gracefully instead of aborting the epoch: it serves the ReqEC-FP
-// linear prediction when the scheme maintains trend state, or the last
-// successfully fetched rows, subject to the MaxStaleEpochs bound. Peers
-// the supervision layer flags suspect are skipped proactively — the same
-// fallback, without waiting out retries — as long as the bound holds.
-func (w *Worker) fetchGhostH(l, t int) (*graph.GhostOperand, error) {
-	if len(w.ghostIDs) == 0 {
-		return nil, nil
-	}
-	if w.ghostHCache != nil {
-		m, err := w.fetchGhostHDelayed(l, t, w.cfg.Model.Dims[l])
-		if err != nil {
-			return nil, err
-		}
-		return graph.NewGhostDense(m), nil
-	}
-	p := w.buildGhostH(l, t)
-	return w.mergeGhostH(p, w.callInlineTimed(p), l, t)
-}
-
-// issueGhostH starts the ghost H^l exchange without waiting for it: skips
-// are resolved and the remaining calls are fired on a background goroutine.
-// The caller must pair it with exactly one collectGhostH.
-func (w *Worker) issueGhostH(l, t int) *pendingGhost {
-	if len(w.ghostIDs) == 0 || w.ghostHCache != nil {
+// issue starts the layer-l exchange of iteration t. With Opts.Overlap the
+// batch is fired on a background goroutine, so its wire time hides behind
+// the ghost-independent compute before collect; without it the batch runs
+// inline here — a strict barrier. The caller must pair it with exactly one
+// collect.
+func (c *ghostChannel) issue(l, t int) *pendingGhost {
+	w := c.w
+	if len(w.ghostIDs) == 0 || c.delayed != nil {
 		return &pendingGhost{deferred: true}
 	}
-	p := w.buildGhostH(l, t)
+	p := c.build(l, t)
+	if !w.cfg.Opts.Overlap {
+		w.callInlineTimed(p)
+		return p
+	}
 	p.fire(w)
 	if tr := w.obs.tracer; tr != nil {
-		tr.Instant(fmt.Sprintf("issue getH l%d", l), "comm", 1+w.id, 0, time.Now(), nil)
+		tr.Instant(fmt.Sprintf("issue get%c l%d", c.dir, l), "comm", 1+w.id, 0, time.Now(), nil)
 	}
 	return p
 }
 
-// collectGhostH joins an issued getH batch and performs the decode/merge
-// phase — identical semantics (and identical EC/degraded state mutation
-// order) to the blocking fetchGhostH.
-func (w *Worker) collectGhostH(p *pendingGhost, l, t int) (*graph.GhostOperand, error) {
-	if p.deferred {
-		return w.fetchGhostH(l, t)
+// collect joins an issued exchange and merges it into the layer's ghost
+// operand (nil when the worker has no ghosts). A deferred exchange runs
+// whole here.
+func (c *ghostChannel) collect(p *pendingGhost, l, t int) (*graph.GhostOperand, error) {
+	if !p.deferred {
+		return c.merge(p, c.w.joinTimed(p), l, t)
 	}
-	return w.mergeGhostH(p, w.joinTimed(p), l, t)
+	if len(c.w.ghostIDs) == 0 {
+		return nil, nil
+	}
+	m, err := c.fetchDelayed(l, t)
+	if err != nil {
+		return nil, err
+	}
+	return graph.NewGhostDense(m), nil
 }
 
-// mergeGhostH decodes the batch results in ghostOwner order and assembles
-// the ghost operand, applying the degraded fallback per failed peer. Epoch
-// goroutine only. With PackedSpMM, purely quantised payloads keep their
-// packed wire form inside the operand (decoded only by the fold kernels,
-// on register); everything else — raw/sparse payloads, EC trend decodes,
-// skip and degraded fallbacks — lands as dense rows.
-func (w *Worker) mergeGhostH(p *pendingGhost, results []transport.Result, l, t int) (*graph.GhostOperand, error) {
-	if !w.cfg.Opts.PackedSpMM {
-		m, err := w.mergeGhostHDense(p, results, l, t)
-		if err != nil {
-			return nil, err
-		}
-		return graph.NewGhostDense(m), nil
-	}
+// merge decodes the batch results in ghostOwner order and assembles the
+// ghost operand, applying the degraded fallback per failed peer. Epoch
+// goroutine only. Purely quantised payloads keep their packed wire form
+// inside the operand; everything else — raw/sparse payloads, EC trend
+// decodes, skip and degraded fallbacks — lands as dense rows. The operand
+// is the same under both PackedSpMM settings; only ghostFold differs.
+func (c *ghostChannel) merge(p *pendingGhost, results []transport.Result, l, t int) (*graph.GhostOperand, error) {
+	w := c.w
 	op := graph.NewGhostHybrid(len(w.ghostIDs), w.cfg.Model.Dims[l])
 	for _, j := range w.ghostOwner {
 		base := w.ghostBase[j]
@@ -229,21 +254,15 @@ func (w *Worker) mergeGhostH(p *pendingGhost, results []transport.Result, l, t i
 			opSetDense(op, base, rows)
 			continue
 		}
-		rows, blk, err := w.decodeHPacked(l, t, j, results[p.callIdx[j]])
+		rows, blk, err := c.decode(l, t, j, results[p.callIdx[j]])
 		if err != nil {
-			if rows, err = w.degradedH(l, t, j, err); err != nil {
+			if rows, err = c.degraded(l, t, j, err); err != nil {
 				return nil, err
 			}
 			opSetDense(op, base, rows)
 			continue
 		}
-		// Record the last-good state in whichever form arrived; the dense
-		// materialisation is deferred to the first fallback that needs it
-		// (lastGoodH). Retained packed payloads are never Released — a
-		// pooled reclaim could hand their words to a later payload while a
-		// degraded epoch still reads them.
-		w.hLastGood[l][j], w.hLastPacked[l][j] = rows, blk
-		w.hLastEpoch[l][j] = t
+		c.last[l][j] = goodRows{rows: rows, packed: blk, epoch: t}
 		if blk != nil {
 			op.SetRowsPacked(base, blk)
 		} else {
@@ -251,33 +270,6 @@ func (w *Worker) mergeGhostH(p *pendingGhost, results []transport.Result, l, t i
 		}
 	}
 	return op, nil
-}
-
-// mergeGhostHDense is the decode-oracle merge (-packed-spmm=false): every
-// payload is decoded into one dense ghost matrix, exactly the pre-packed
-// behaviour the packed path is asserted bitwise against.
-func (w *Worker) mergeGhostHDense(p *pendingGhost, results []transport.Result, l, t int) (*tensor.Matrix, error) {
-	out := tensor.New(len(w.ghostIDs), w.cfg.Model.Dims[l])
-	for _, j := range w.ghostOwner {
-		rows := p.served[j]
-		if rows == nil {
-			var err error
-			if rows, err = w.decodeH(l, t, j, results[p.callIdx[j]]); err != nil {
-				if rows, err = w.degradedH(l, t, j, err); err != nil {
-					return nil, err
-				}
-			} else {
-				w.hLastGood[l][j] = rows
-				w.hLastPacked[l][j] = nil
-				w.hLastEpoch[l][j] = t
-			}
-		}
-		base := w.ghostBase[j]
-		for r := 0; r < rows.Rows; r++ {
-			copy(out.Row(base+r), rows.Row(r))
-		}
-	}
-	return out, nil
 }
 
 // opSetDense installs all rows of a dense payload into the operand at its
@@ -288,107 +280,106 @@ func opSetDense(op *graph.GhostOperand, base int, rows *tensor.Matrix) {
 	}
 }
 
-// lastGoodH returns peer j's last successfully fetched H rows for layer l,
-// materialising a retained packed payload to dense on first use (fallbacks
-// are cold paths; the dense form is cached back so repeated degraded epochs
-// pay the decode once).
-func (w *Worker) lastGoodH(l, j int) *tensor.Matrix {
-	if w.hLastGood[l][j] == nil && w.hLastPacked[l][j] != nil {
-		w.hLastGood[l][j] = w.hLastPacked[l][j].Dense()
-	}
-	return w.hLastGood[l][j]
-}
-
-// lastGoodG is lastGoodH for gradient rows.
-func (w *Worker) lastGoodG(l, j int) *tensor.Matrix {
-	if w.gLastGood[l][j] == nil && w.gLastPacked[l][j] != nil {
-		w.gLastGood[l][j] = w.gLastPacked[l][j].Dense()
-	}
-	return w.gLastGood[l][j]
-}
-
-// skipFallbackH returns the degraded H rows for peer j when the supervision
-// layer flags it suspect and a fallback within the staleness bound exists;
-// nil means "call the peer normally" (healthy, no supervision, or the bound
-// would be exceeded — the call must then be attempted regardless).
-func (w *Worker) skipFallbackH(l, t, j int) *tensor.Matrix {
-	if w.cfg.Health == nil || !w.cfg.Health.SkipPeer(j) {
-		return nil
-	}
-	bound := w.cfg.Opts.MaxStaleEpochs
-	last := w.hLastEpoch[l][j]
-	if bound < 0 || last < 0 || t-last > bound {
-		return nil
-	}
-	w.degraded++
-	w.skips++
-	if w.cfg.Opts.FPScheme == SchemeEC {
-		if pdt, ok := w.fpReq[l][j].Predict(t); ok {
-			return pdt
-		}
-	}
-	return w.lastGoodH(l, j)
-}
-
-// decodeH turns one getH result from peer j into ghost rows. Runs on the
-// epoch goroutine only — the per-(layer,owner) EC requester state is not
-// goroutine-safe and must never be touched from the fan-out. Decode panics
-// — e.g. an EC payload whose trend baseline this requester never received
-// because the boundary message was lost — are converted to errors so the
-// degraded path can take over.
-func (w *Worker) decodeH(l, t, j int, res transport.Result) (rows *tensor.Matrix, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			rows = nil
-			err = fmt.Errorf("worker %d: decode getH(l=%d,t=%d) from %d: %v", w.id, l, t, j, r)
-		}
-	}()
-	if res.Err != nil {
-		return nil, fmt.Errorf("worker %d: getH(l=%d,t=%d) from %d: %w", w.id, l, t, j, res.Err)
-	}
-	if w.cfg.Opts.FPScheme == SchemeEC {
-		return w.fpReq[l][j].Parse(res.Resp, t), nil
-	}
-	return ec.ParseMatrix(res.Resp), nil
-}
-
-// decodeHPacked is decodeH for the packed merge: purely quantised payloads
-// come back as a retained *compress.Blocked (rows nil), everything else as
-// dense rows (blk nil). FP SchemeEC always decodes dense — its requester
-// Parse maintains the trend state the prediction fallback needs.
-func (w *Worker) decodeHPacked(l, t, j int, res transport.Result) (rows *tensor.Matrix, blk *compress.Blocked, err error) {
+// decode turns one result from peer j into ghost rows: purely quantised
+// payloads come back as a retained *compress.Blocked (rows nil), everything
+// else as dense rows (blk nil). The EC requester's Parse always decodes
+// dense. Runs on the epoch goroutine only — the per-(layer,owner) EC
+// requester state is not goroutine-safe and must never be touched from the
+// fan-out. Decode panics — e.g. an EC payload whose trend baseline this
+// requester never received because the boundary message was lost — are
+// converted to errors so the degraded path can take over.
+func (c *ghostChannel) decode(l, t, j int, res transport.Result) (rows *tensor.Matrix, blk *compress.Blocked, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			rows, blk = nil, nil
-			err = fmt.Errorf("worker %d: decode getH(l=%d,t=%d) from %d: %v", w.id, l, t, j, r)
+			err = fmt.Errorf("worker %d: decode get%c(l=%d,t=%d) from %d: %v", c.w.id, c.dir, l, t, j, r)
 		}
 	}()
 	if res.Err != nil {
-		return nil, nil, fmt.Errorf("worker %d: getH(l=%d,t=%d) from %d: %w", w.id, l, t, j, res.Err)
+		return nil, nil, fmt.Errorf("worker %d: get%c(l=%d,t=%d) from %d: %w", c.w.id, c.dir, l, t, j, res.Err)
 	}
-	if w.cfg.Opts.FPScheme == SchemeEC {
-		return w.fpReq[l][j].Parse(res.Resp, t), nil, nil
+	if c.req != nil {
+		return c.req[l][j].Parse(res.Resp, t), nil, nil
 	}
 	rows, blk = ec.ParsePacked(res.Resp)
 	return rows, blk, nil
 }
 
-// degradedH picks the fallback for a failed H exchange with peer j, or
-// fails the epoch once the staleness bound is exceeded.
-func (w *Worker) degradedH(l, t, j int, cause error) (*tensor.Matrix, error) {
-	bound := w.cfg.Opts.MaxStaleEpochs
-	last := w.hLastEpoch[l][j]
-	if bound < 0 || last < 0 || t-last > bound {
-		return nil, fmt.Errorf("worker %d: ghost H(l=%d) from %d unrecoverable at epoch %d (last good epoch %d, staleness bound %d): %w",
-			w.id, l, j, t, last, bound, cause)
-	}
-	w.degraded++
-	if w.cfg.Opts.FPScheme == SchemeEC {
-		if pdt, ok := w.fpReq[l][j].Predict(t); ok {
-			return pdt, nil
+// withinBound reports whether peer j's last good layer-l exchange is
+// recent enough, at iteration t, to serve a fallback under MaxStaleEpochs.
+func (c *ghostChannel) withinBound(l, t, j int) bool {
+	bound := c.w.cfg.Opts.MaxStaleEpochs
+	last := c.last[l][j].epoch
+	return bound >= 0 && last >= 0 && t-last <= bound
+}
+
+// fallback counts one degraded fetch and returns its rows: the ReqEC-FP
+// prediction when the channel keeps trend state and has a baseline, the
+// last-good rows otherwise.
+func (c *ghostChannel) fallback(l, t, j int) *tensor.Matrix {
+	c.w.degraded++
+	if c.req != nil {
+		if pdt, ok := c.req[l][j].Predict(t); ok {
+			return pdt
 		}
 	}
-	return w.lastGoodH(l, j), nil
+	return c.lastGood(l, j)
+}
+
+// skipFallback returns the degraded rows for peer j when the supervision
+// layer flags it suspect and a fallback within the staleness bound exists;
+// nil means "call the peer normally" (healthy, no supervision, or the bound
+// would be exceeded — the call must then be attempted regardless).
+func (c *ghostChannel) skipFallback(l, t, j int) *tensor.Matrix {
+	h := c.w.cfg.Health
+	if h == nil || !h.SkipPeer(j) || !c.withinBound(l, t, j) {
+		return nil
+	}
+	c.w.skips++
+	return c.fallback(l, t, j)
+}
+
+// degraded picks the fallback for a failed exchange with peer j, or fails
+// the epoch once the staleness bound is exceeded.
+func (c *ghostChannel) degraded(l, t, j int, cause error) (*tensor.Matrix, error) {
+	if !c.withinBound(l, t, j) {
+		return nil, fmt.Errorf("worker %d: ghost %c(l=%d) from %d unrecoverable at epoch %d (last good epoch %d, staleness bound %d): %w",
+			c.w.id, c.dir, l, j, t, c.last[l][j].epoch, c.w.cfg.Opts.MaxStaleEpochs, cause)
+	}
+	return c.fallback(l, t, j), nil
+}
+
+// lastGood returns peer j's last successfully fetched rows for layer l,
+// materialising a retained packed payload on first use (fallbacks are cold
+// paths; the dense form is cached back so repeated degraded epochs pay the
+// decode once).
+func (c *ghostChannel) lastGood(l, j int) *tensor.Matrix {
+	g := &c.last[l][j]
+	if g.rows == nil && g.packed != nil {
+		g.rows = g.packed.Dense()
+	}
+	return g.rows
+}
+
+// lastGoodRow returns ghost vertex v's row of the layer-l last-good state
+// and the epoch it reflects, or (nil, -1) when v is no ghost here or its
+// owner group has nothing.
+func (c *ghostChannel) lastGoodRow(l int, v int32) ([]float32, int) {
+	w := c.w
+	pos, ok := w.ghostPos[v]
+	if !ok {
+		return nil, -1
+	}
+	for _, j := range w.ghostOwner {
+		base := w.ghostBase[j]
+		if int(pos) >= base && int(pos) < base+len(w.topo.Needs[w.id][j]) {
+			if m := c.lastGood(l, j); m != nil && c.last[l][j].epoch >= 0 {
+				return m.Row(int(pos) - base), c.last[l][j].epoch
+			}
+			break
+		}
+	}
+	return nil, -1
 }
 
 // refreshPositions returns, for peer j, the indices within Needs[w][j] that
@@ -414,12 +405,17 @@ func (w *Worker) refreshPositions(j, t int) []int32 {
 	return out
 }
 
-func (w *Worker) fetchGhostHDelayed(l, t, dim int) (*tensor.Matrix, error) {
-	cold := w.ghostHCache[l] == nil
+// fetchDelayed is the deferred DistGNN exchange: only the epoch's refresh
+// subset travels, the rest of the layer-l ghost rows come from the stale
+// cache. A suspect or failed peer skips its refresh round within the same
+// staleness bound the batched path enforces.
+func (c *ghostChannel) fetchDelayed(l, t int) (*tensor.Matrix, error) {
+	w := c.w
+	cold := c.delayed[l] == nil
 	if cold {
-		w.ghostHCache[l] = tensor.New(len(w.ghostIDs), dim)
+		c.delayed[l] = tensor.New(len(w.ghostIDs), w.cfg.Model.Dims[l])
 	}
-	cache := w.ghostHCache[l]
+	cache := c.delayed[l]
 	for _, j := range w.ghostOwner {
 		positions := w.refreshPositions(j, t)
 		if cold {
@@ -430,32 +426,24 @@ func (w *Worker) fetchGhostHDelayed(l, t, dim int) (*tensor.Matrix, error) {
 		if len(positions) == 0 {
 			continue
 		}
-		if w.cfg.Health != nil && w.cfg.Health.SkipPeer(j) {
+		if w.cfg.Health != nil && w.cfg.Health.SkipPeer(j) && c.withinBound(l, t, j) {
 			// Suspect peer: skip this refresh round and keep serving the
-			// stale cache, within the same staleness bound a failed call
-			// falls under; beyond it the call is attempted regardless.
-			bound := w.cfg.Opts.MaxStaleEpochs
-			last := w.hLastEpoch[l][j]
-			if bound >= 0 && last >= 0 && t-last <= bound {
-				w.degraded++
-				w.skips++
-				continue
-			}
+			// stale cache; beyond the bound the call is attempted regardless.
+			w.degraded++
+			w.skips++
+			continue
 		}
-		req := w.encodeGhostReq(l, t, true)
+		req := c.encodeReq(l, t)
 		req.Byte(1)
 		req.Int32s(positions)
-		resp, err := w.callPeer(j, MethodGetH, req.Bytes())
+		resp, err := w.callPeer(j, c.method, req.Bytes())
 		req.Release()
 		if err != nil {
 			// The cache is already stale-tolerant by design: skip this
-			// refresh round and serve the cached rows, within the same
-			// staleness bound the non-delayed path enforces.
-			bound := w.cfg.Opts.MaxStaleEpochs
-			last := w.hLastEpoch[l][j]
-			if bound < 0 || last < 0 || t-last > bound {
-				return nil, fmt.Errorf("worker %d: delayed getH from %d unrecoverable at epoch %d (last good epoch %d, staleness bound %d): %w",
-					w.id, j, t, last, bound, err)
+			// refresh round and serve the cached rows.
+			if !c.withinBound(l, t, j) {
+				return nil, fmt.Errorf("worker %d: delayed get%c from %d unrecoverable at epoch %d (last good epoch %d, staleness bound %d): %w",
+					w.id, c.dir, j, t, c.last[l][j].epoch, w.cfg.Opts.MaxStaleEpochs, err)
 			}
 			w.degraded++
 			continue
@@ -465,190 +453,9 @@ func (w *Worker) fetchGhostHDelayed(l, t, dim int) (*tensor.Matrix, error) {
 		for r, p := range positions {
 			copy(cache.Row(base+int(p)), rows.Row(r))
 		}
-		w.hLastEpoch[l][j] = t
+		c.last[l][j].epoch = t
 	}
 	return cache, nil
-}
-
-// buildGhostG resolves proactive skips and encodes the getG(l, t) call per
-// remaining peer. Epoch goroutine only.
-func (w *Worker) buildGhostG(l, t int) *pendingGhost {
-	p := &pendingGhost{
-		served:  make(map[int]*tensor.Matrix, len(w.ghostOwner)),
-		callIdx: make(map[int]int, len(w.ghostOwner)),
-	}
-	for _, j := range w.ghostOwner {
-		if skipped := w.skipFallbackG(l, t, j); skipped != nil {
-			p.served[j] = skipped
-			continue
-		}
-		req := transport.GetWriter(16)
-		req.Byte(byte(l))
-		req.Uint32(uint32(t))
-		req.Int32(int32(w.id))
-		p.callIdx[j] = len(p.calls)
-		p.calls = append(p.calls, transport.Call{
-			Dst: j, Method: MethodGetG, Req: req.Bytes(), Timeout: w.peerTimeout(j),
-		})
-		p.writers = append(p.writers, req)
-	}
-	return p
-}
-
-// fetchGhostG gathers ghost rows of G^l for iteration t (Alg. 5) with the
-// same two-phase batch-then-merge structure as fetchGhostH. Like the
-// forward exchange it degrades to the last-good cached gradient rows when a
-// peer stays unreachable, within the MaxStaleEpochs bound.
-func (w *Worker) fetchGhostG(l, t int) (*graph.GhostOperand, error) {
-	if len(w.ghostIDs) == 0 {
-		return nil, nil
-	}
-	p := w.buildGhostG(l, t)
-	return w.mergeGhostG(p, w.callInlineTimed(p), l, t)
-}
-
-// issueGhostG starts the ghost G^l exchange without waiting for it; pair
-// with exactly one collectGhostG.
-func (w *Worker) issueGhostG(l, t int) *pendingGhost {
-	if len(w.ghostIDs) == 0 {
-		return &pendingGhost{deferred: true}
-	}
-	p := w.buildGhostG(l, t)
-	p.fire(w)
-	if tr := w.obs.tracer; tr != nil {
-		tr.Instant(fmt.Sprintf("issue getG l%d", l), "comm", 1+w.id, 0, time.Now(), nil)
-	}
-	return p
-}
-
-// collectGhostG joins an issued getG batch and runs the decode/merge phase
-// with the blocking fetch's exact semantics.
-func (w *Worker) collectGhostG(p *pendingGhost, l, t int) (*graph.GhostOperand, error) {
-	if p.deferred {
-		return w.fetchGhostG(l, t)
-	}
-	return w.mergeGhostG(p, w.joinTimed(p), l, t)
-}
-
-// mergeGhostG decodes the batch results in ghostOwner order and assembles
-// the ghost gradient operand. Epoch goroutine only. The packed/dense split
-// mirrors mergeGhostH: quantised payloads (Cp-bp, ResEC-BP) stay in wire
-// form, raw/TopK payloads and degraded fallbacks land dense.
-func (w *Worker) mergeGhostG(p *pendingGhost, results []transport.Result, l, t int) (*graph.GhostOperand, error) {
-	if !w.cfg.Opts.PackedSpMM {
-		m, err := w.mergeGhostGDense(p, results, l, t)
-		if err != nil {
-			return nil, err
-		}
-		return graph.NewGhostDense(m), nil
-	}
-	op := graph.NewGhostHybrid(len(w.ghostIDs), w.cfg.Model.Dims[l])
-	for _, j := range w.ghostOwner {
-		base := w.ghostBase[j]
-		if rows := p.served[j]; rows != nil {
-			opSetDense(op, base, rows)
-			continue
-		}
-		rows, blk, err := w.decodeGPacked(l, t, j, results[p.callIdx[j]])
-		if err != nil {
-			bound := w.cfg.Opts.MaxStaleEpochs
-			last := w.gLastEpoch[l][j]
-			if bound < 0 || last < 0 || t-last > bound {
-				return nil, fmt.Errorf("worker %d: ghost G(l=%d) from %d unrecoverable at epoch %d (last good epoch %d, staleness bound %d): %w",
-					w.id, l, j, t, last, bound, err)
-			}
-			w.degraded++
-			opSetDense(op, base, w.lastGoodG(l, j))
-			continue
-		}
-		w.gLastGood[l][j], w.gLastPacked[l][j] = rows, blk
-		w.gLastEpoch[l][j] = t
-		if blk != nil {
-			op.SetRowsPacked(base, blk)
-		} else {
-			opSetDense(op, base, rows)
-		}
-	}
-	return op, nil
-}
-
-// mergeGhostGDense is the decode-oracle merge for gradients
-// (-packed-spmm=false), the pre-packed behaviour unchanged.
-func (w *Worker) mergeGhostGDense(p *pendingGhost, results []transport.Result, l, t int) (*tensor.Matrix, error) {
-	out := tensor.New(len(w.ghostIDs), w.cfg.Model.Dims[l])
-	for _, j := range w.ghostOwner {
-		rows := p.served[j]
-		if rows == nil {
-			var err error
-			if rows, err = w.decodeG(l, t, j, results[p.callIdx[j]]); err != nil {
-				bound := w.cfg.Opts.MaxStaleEpochs
-				last := w.gLastEpoch[l][j]
-				if bound < 0 || last < 0 || t-last > bound {
-					return nil, fmt.Errorf("worker %d: ghost G(l=%d) from %d unrecoverable at epoch %d (last good epoch %d, staleness bound %d): %w",
-						w.id, l, j, t, last, bound, err)
-				}
-				w.degraded++
-				rows = w.lastGoodG(l, j)
-			} else {
-				w.gLastGood[l][j] = rows
-				w.gLastPacked[l][j] = nil
-				w.gLastEpoch[l][j] = t
-			}
-		}
-		base := w.ghostBase[j]
-		for r := 0; r < rows.Rows; r++ {
-			copy(out.Row(base+r), rows.Row(r))
-		}
-	}
-	return out, nil
-}
-
-// skipFallbackG is skipFallbackH for gradient rows: the last-good cached
-// rows for a suspect peer, or nil when the call must be attempted.
-func (w *Worker) skipFallbackG(l, t, j int) *tensor.Matrix {
-	if w.cfg.Health == nil || !w.cfg.Health.SkipPeer(j) {
-		return nil
-	}
-	bound := w.cfg.Opts.MaxStaleEpochs
-	last := w.gLastEpoch[l][j]
-	if bound < 0 || last < 0 || t-last > bound {
-		return nil
-	}
-	w.degraded++
-	w.skips++
-	return w.lastGoodG(l, j)
-}
-
-// decodeG turns one getG result from peer j into ghost gradient rows,
-// converting decode panics into errors for the degraded path. Epoch
-// goroutine only.
-func (w *Worker) decodeG(l, t, j int, res transport.Result) (rows *tensor.Matrix, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			rows = nil
-			err = fmt.Errorf("worker %d: decode getG(l=%d,t=%d) from %d: %v", w.id, l, t, j, r)
-		}
-	}()
-	if res.Err != nil {
-		return nil, fmt.Errorf("worker %d: getG(l=%d,t=%d) from %d: %w", w.id, l, t, j, res.Err)
-	}
-	return ec.ParseMatrix(res.Resp), nil
-}
-
-// decodeGPacked is decodeG for the packed merge: quantised payloads come
-// back as a retained *compress.Blocked (rows nil), raw/sparse ones dense.
-func (w *Worker) decodeGPacked(l, t, j int, res transport.Result) (rows *tensor.Matrix, blk *compress.Blocked, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			rows, blk = nil, nil
-			err = fmt.Errorf("worker %d: decode getG(l=%d,t=%d) from %d: %v", w.id, l, t, j, r)
-		}
-	}()
-	if res.Err != nil {
-		return nil, nil, fmt.Errorf("worker %d: getG(l=%d,t=%d) from %d: %w", w.id, l, t, j, res.Err)
-	}
-	rows, blk = ec.ParsePacked(res.Resp)
-	return rows, blk, nil
 }
 
 // Handler returns the transport handler serving this worker's RPCs. It runs

@@ -91,111 +91,163 @@ func faultCluster(t *testing.T, opts Options, fail func(src, dst int, method str
 	return workers, reports, step
 }
 
+// forEachDegradedArm runs body once per arm of the degraded-path matrix:
+// raw rows through the dense fold and B=4 quantised payloads through the
+// packed fold — whose last-good state is retained packed and materialised
+// only by the first fallback — each under the sequential and the overlap
+// epoch loop. base supplies the remaining options.
+func forEachDegradedArm(t *testing.T, base Options, body func(t *testing.T, opts Options)) {
+	wires := []struct {
+		name string
+		set  func(*Options)
+	}{
+		{"raw", func(o *Options) { o.FPScheme, o.BPScheme = SchemeRaw, SchemeRaw }},
+		{"compress4-packed", func(o *Options) {
+			o.FPScheme, o.BPScheme = SchemeCompress, SchemeCompress
+			o.FPBits, o.BPBits = 4, 4
+			o.PackedSpMM = true
+		}},
+	}
+	for _, wire := range wires {
+		for _, overlap := range []bool{false, true} {
+			opts := base
+			wire.set(&opts)
+			opts.Overlap = overlap
+			mode := "sequential"
+			if overlap {
+				mode = "overlap"
+			}
+			t.Run(wire.name+"/"+mode, func(t *testing.T) { body(t, opts) })
+		}
+	}
+}
+
 // TestWorkerDegradedFetchServesCache fails every ghost-embedding exchange
 // for one epoch; within the staleness bound both workers must fall back to
 // last-good rows, finish the epoch and report the degraded fetches.
 func TestWorkerDegradedFetchServesCache(t *testing.T) {
-	var faultEpoch atomic.Bool
-	_, reports, step := faultCluster(t, Options{}, func(src, dst int, method string) bool {
-		return faultEpoch.Load() && method == MethodGetH
-	})
-	for e := 0; e < 3; e++ {
-		for _, err := range step(e) {
-			if err != nil {
-				t.Fatalf("clean epoch %d: %v", e, err)
+	forEachDegradedArm(t, Options{}, func(t *testing.T, opts Options) {
+		var faultEpoch atomic.Bool
+		workers, reports, step := faultCluster(t, opts, func(src, dst int, method string) bool {
+			return faultEpoch.Load() && method == MethodGetH
+		})
+		for e := 0; e < 3; e++ {
+			for _, err := range step(e) {
+				if err != nil {
+					t.Fatalf("clean epoch %d: %v", e, err)
+				}
 			}
 		}
-	}
-	if reports[0].DegradedFetches != 0 {
-		t.Fatalf("clean epochs reported %d degraded fetches", reports[0].DegradedFetches)
-	}
+		if reports[0].DegradedFetches != 0 {
+			t.Fatalf("clean epochs reported %d degraded fetches", reports[0].DegradedFetches)
+		}
+		packed := opts.FPScheme == SchemeCompress
+		for _, w := range workers {
+			for _, j := range w.ghostOwner {
+				if g := w.ghostH.last[1][j]; packed && (g.packed == nil || g.rows != nil) {
+					t.Fatalf("worker %d: last-good H from %d not retained packed", w.id, j)
+				}
+			}
+		}
 
-	faultEpoch.Store(true)
-	for _, err := range step(3) {
-		if err != nil {
-			t.Fatalf("degraded epoch should survive: %v", err)
+		faultEpoch.Store(true)
+		for _, err := range step(3) {
+			if err != nil {
+				t.Fatalf("degraded epoch should survive: %v", err)
+			}
 		}
-	}
-	for i, r := range reports {
-		if r.DegradedFetches == 0 {
-			t.Fatalf("worker %d reported no degraded fetches through a faulted epoch", i)
+		for i, r := range reports {
+			if r.DegradedFetches == 0 {
+				t.Fatalf("worker %d reported no degraded fetches through a faulted epoch", i)
+			}
 		}
-	}
+		for _, w := range workers {
+			for _, j := range w.ghostOwner {
+				if w.ghostH.last[1][j].rows == nil {
+					t.Fatalf("worker %d: fallback for %d served without materialised rows", w.id, j)
+				}
+			}
+		}
 
-	// Recovery: the next clean epoch must refresh the caches and report zero.
-	faultEpoch.Store(false)
-	for _, err := range step(4) {
-		if err != nil {
-			t.Fatalf("recovery epoch: %v", err)
+		// Recovery: the next clean epoch must refresh the caches and report zero.
+		faultEpoch.Store(false)
+		for _, err := range step(4) {
+			if err != nil {
+				t.Fatalf("recovery epoch: %v", err)
+			}
 		}
-	}
-	for i, r := range reports {
-		if r.DegradedFetches != 0 {
-			t.Fatalf("worker %d still degraded after recovery: %d", i, r.DegradedFetches)
+		for i, r := range reports {
+			if r.DegradedFetches != 0 {
+				t.Fatalf("worker %d still degraded after recovery: %d", i, r.DegradedFetches)
+			}
 		}
-	}
+	})
 }
 
 // TestWorkerGradientExchangeDegrades mirrors the embedding test on the
 // backward path: failed getG exchanges serve last-good gradient rows.
 func TestWorkerGradientExchangeDegrades(t *testing.T) {
-	var faultEpoch atomic.Bool
-	_, reports, step := faultCluster(t, Options{}, func(src, dst int, method string) bool {
-		return faultEpoch.Load() && method == MethodGetG
-	})
-	for e := 0; e < 2; e++ {
-		for _, err := range step(e) {
-			if err != nil {
-				t.Fatal(err)
+	forEachDegradedArm(t, Options{}, func(t *testing.T, opts Options) {
+		var faultEpoch atomic.Bool
+		_, reports, step := faultCluster(t, opts, func(src, dst int, method string) bool {
+			return faultEpoch.Load() && method == MethodGetG
+		})
+		for e := 0; e < 2; e++ {
+			for _, err := range step(e) {
+				if err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-	}
-	faultEpoch.Store(true)
-	for _, err := range step(2) {
-		if err != nil {
-			t.Fatalf("degraded gradient epoch should survive: %v", err)
+		faultEpoch.Store(true)
+		for _, err := range step(2) {
+			if err != nil {
+				t.Fatalf("degraded gradient epoch should survive: %v", err)
+			}
 		}
-	}
-	for i, r := range reports {
-		if r.DegradedFetches == 0 {
-			t.Fatalf("worker %d reported no degraded gradient fetches", i)
+		for i, r := range reports {
+			if r.DegradedFetches == 0 {
+				t.Fatalf("worker %d reported no degraded gradient fetches", i)
+			}
 		}
-	}
+	})
 }
 
 // TestWorkerStalenessBoundFailsHard keeps the fault on: with
 // MaxStaleEpochs = 1, the first faulted epoch degrades and the second must
 // fail hard instead of training on ever-staler rows.
 func TestWorkerStalenessBoundFailsHard(t *testing.T) {
-	var faultEpoch atomic.Bool
-	_, _, step := faultCluster(t, Options{MaxStaleEpochs: 1}, func(src, dst int, method string) bool {
-		return faultEpoch.Load() && method == MethodGetH
-	})
-	for e := 0; e < 2; e++ {
-		for _, err := range step(e) {
+	forEachDegradedArm(t, Options{MaxStaleEpochs: 1}, func(t *testing.T, opts Options) {
+		var faultEpoch atomic.Bool
+		_, _, step := faultCluster(t, opts, func(src, dst int, method string) bool {
+			return faultEpoch.Load() && method == MethodGetH
+		})
+		for e := 0; e < 2; e++ {
+			for _, err := range step(e) {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		faultEpoch.Store(true)
+		for _, err := range step(2) {
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("staleness 1 is within bound 1, epoch should survive: %v", err)
 			}
 		}
-	}
-	faultEpoch.Store(true)
-	for _, err := range step(2) {
-		if err != nil {
-			t.Fatalf("staleness 1 is within bound 1, epoch should survive: %v", err)
-		}
-	}
-	sawHardFail := false
-	for _, err := range step(3) {
-		if err != nil {
-			if !strings.Contains(err.Error(), "unrecoverable") {
-				t.Fatalf("hard failure lacks staleness context: %v", err)
+		sawHardFail := false
+		for _, err := range step(3) {
+			if err != nil {
+				if !strings.Contains(err.Error(), "unrecoverable") {
+					t.Fatalf("hard failure lacks staleness context: %v", err)
+				}
+				sawHardFail = true
 			}
-			sawHardFail = true
 		}
-	}
-	if !sawHardFail {
-		t.Fatalf("epoch beyond the staleness bound did not fail")
-	}
+		if !sawHardFail {
+			t.Fatalf("epoch beyond the staleness bound did not fail")
+		}
+	})
 }
 
 // TestWorkerDegradedModeDisabled: a negative bound turns every exhausted
@@ -241,7 +293,7 @@ func TestWorkerECPredictionFallback(t *testing.T) {
 		}
 	}
 	for _, w := range workers {
-		for _, q := range w.fpReq[1] {
+		for _, q := range w.ghostH.req[1] {
 			if q == nil {
 				continue
 			}

@@ -200,13 +200,6 @@ func (w *Worker) ImportHandoff(payload []byte) (int, error) {
 	return n, nil
 }
 
-// handoffSource is the read-only view SeedDegradedCaches needs of a
-// previous-view worker; *Worker implements it.
-type handoffSource interface {
-	lastH(l int, v int32) ([]float32, int)
-	lastG(l int, v int32) ([]float32, int)
-}
-
 // lastH returns the freshest H^l row this worker holds for vertex v and the
 // epoch it reflects: its own activations for owned vertices, the last-good
 // degraded cache for ghosts. (-1 when it has nothing.)
@@ -227,20 +220,7 @@ func (w *Worker) lastH(l int, v int32) ([]float32, int) {
 		}
 		return nil, -1
 	}
-	if pos, ok := w.ghostPos[v]; ok {
-		// Which owner group is this ghost in? Recover the owner from the
-		// group base offsets.
-		for _, j := range w.ghostOwner {
-			base := w.ghostBase[j]
-			if int(pos) >= base && int(pos) < base+len(w.topo.Needs[w.id][j]) {
-				if m := w.lastGoodH(l, j); m != nil && w.hLastEpoch[l][j] >= 0 {
-					return m.Row(int(pos) - base), w.hLastEpoch[l][j]
-				}
-				break
-			}
-		}
-	}
-	return nil, -1
+	return w.ghostH.lastGoodRow(l, v)
 }
 
 // lastG is lastH for gradient rows: the published G^l rows for owned
@@ -252,18 +232,7 @@ func (w *Worker) lastG(l int, v int32) ([]float32, int) {
 		}
 		return nil, -1
 	}
-	if pos, ok := w.ghostPos[v]; ok {
-		for _, j := range w.ghostOwner {
-			base := w.ghostBase[j]
-			if int(pos) >= base && int(pos) < base+len(w.topo.Needs[w.id][j]) {
-				if m := w.lastGoodG(l, j); m != nil && w.gLastEpoch[l][j] >= 0 {
-					return m.Row(int(pos) - base), w.gLastEpoch[l][j]
-				}
-				break
-			}
-		}
-	}
-	return nil, -1
+	return w.ghostG.lastGoodRow(l, v)
 }
 
 // SeedDegradedCaches populates a freshly built worker's last-good ghost
@@ -277,22 +246,18 @@ func (w *Worker) lastG(l int, v int32) ([]float32, int) {
 // MaxStaleEpochs keeps its meaning across the view change.
 func (w *Worker) SeedDegradedCaches(prev map[int]*Worker) {
 	L := w.cfg.Model.NumLayers()
-	sources := make([]handoffSource, 0, len(prev))
-	for _, p := range prev {
-		sources = append(sources, p)
-	}
 	// Deterministic probe order: old workers ascending.
 	ids := make([]int, 0, len(prev))
 	for id := range prev {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	sources = sources[:0]
+	sources := make([]*Worker, 0, len(ids))
 	for _, id := range ids {
 		sources = append(sources, prev[id])
 	}
 
-	seed := func(l int, lst []int32, fetch func(s handoffSource, l int, v int32) ([]float32, int)) (*tensor.Matrix, int) {
+	seed := func(l int, lst []int32, fetch func(s *Worker, l int, v int32) ([]float32, int)) (*tensor.Matrix, int) {
 		m := tensor.New(len(lst), w.cfg.Model.Dims[l])
 		tag := -1
 		for i, v := range lst {
@@ -317,15 +282,13 @@ func (w *Worker) SeedDegradedCaches(prev map[int]*Worker) {
 	for _, j := range w.ghostOwner {
 		lst := w.topo.Needs[w.id][j]
 		for l := 1; l < L; l++ {
-			if m, tag := seed(l, lst, handoffSource.lastH); m != nil {
-				w.hLastGood[l][j] = m
-				w.hLastEpoch[l][j] = tag
+			if m, tag := seed(l, lst, (*Worker).lastH); m != nil {
+				w.ghostH.last[l][j] = goodRows{rows: m, epoch: tag}
 			}
 		}
 		for l := 2; l <= L; l++ {
-			if m, tag := seed(l, lst, handoffSource.lastG); m != nil {
-				w.gLastGood[l][j] = m
-				w.gLastEpoch[l][j] = tag
+			if m, tag := seed(l, lst, (*Worker).lastG); m != nil {
+				w.ghostG.last[l][j] = goodRows{rows: m, epoch: tag}
 			}
 		}
 	}

@@ -234,16 +234,16 @@ func TestSeedDegradedCaches(t *testing.T) {
 	}
 	for _, j := range nw.ghostOwner {
 		lst := newTopo.Needs[0][j]
-		if nw.hLastGood[1][j] == nil {
+		if nw.ghostH.last[1][j].rows == nil {
 			t.Fatalf("H^1 group for owner %d not seeded", j)
 		}
-		if tag := nw.hLastEpoch[1][j]; tag < 0 || tag > f.epochs-1 {
+		if tag := nw.ghostH.last[1][j].epoch; tag < 0 || tag > f.epochs-1 {
 			t.Fatalf("H^1 group for owner %d has staleness tag %d", j, tag)
 		}
 		for i, u := range lst {
 			oldOwner := f.assign[u]
 			want := f.old[oldOwner].ownH[1].Row(int(f.old[oldOwner].ownedPos[u]))
-			got := nw.hLastGood[1][j].Row(i)
+			got := nw.ghostH.last[1][j].rows.Row(i)
 			for c := range want {
 				if got[c] != want[c] {
 					t.Fatalf("seeded H^1 row for ghost %d differs at col %d", u, c)
@@ -251,7 +251,7 @@ func TestSeedDegradedCaches(t *testing.T) {
 			}
 		}
 		// G^2 rows were published during the backward pass and must seed too.
-		if nw.gLastGood[2][j] == nil {
+		if nw.ghostG.last[2][j].rows == nil {
 			t.Fatalf("G^2 group for owner %d not seeded", j)
 		}
 	}

@@ -159,17 +159,18 @@ func (w *Worker) layerBitsSnapshot(L, currentBits int) []int {
 	return out
 }
 
-// joinTimed joins a fired batch and accounts the overlap window: wire time
-// is the batch's launch-to-completion span (stamped by the batch
-// goroutine before the channel send, so reading it here is race-free),
-// blocked time is how long the epoch goroutine actually waited at the
-// join. Their difference is the comm the overlap window hid.
+// joinTimed returns an issued batch's results, joining it if it was fired
+// and accounting the overlap window: wire time is the batch's
+// launch-to-completion span (stamped by the batch goroutine before the
+// channel send, so reading it here is race-free), blocked time is how long
+// the epoch goroutine actually waited at the join. Their difference is the
+// comm the overlap window hid. An inline batch was accounted at issue.
 func (w *Worker) joinTimed(p *pendingGhost) []transport.Result {
 	if p.done == nil {
-		return nil
+		return p.results
 	}
 	start := time.Now()
-	results := p.join()
+	results := <-p.done
 	blocked := time.Since(start)
 	wire := p.doneAt.Sub(p.firedAt)
 	if wire < blocked {
@@ -180,16 +181,16 @@ func (w *Worker) joinTimed(p *pendingGhost) []transport.Result {
 	return results
 }
 
-// callInlineTimed runs the batch synchronously; a blocking exchange's wire
-// time is all blocked time, so sequential runs report zero utilisation.
-func (w *Worker) callInlineTimed(p *pendingGhost) []transport.Result {
+// callInlineTimed runs the batch synchronously into p.results; a blocking
+// exchange's wire time is all blocked time, so sequential runs report zero
+// utilisation.
+func (w *Worker) callInlineTimed(p *pendingGhost) {
 	if len(p.calls) == 0 {
-		return nil
+		return
 	}
 	start := time.Now()
-	results := p.callInline(w)
+	p.results = p.call(w)
 	d := time.Since(start)
 	w.commWire += d
 	w.commBlocked += d
-	return results
 }

@@ -1,7 +1,9 @@
 package worker
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -147,7 +149,7 @@ func (n *gatedNet) CallMulti(src int, calls []transport.Call) []transport.Result
 }
 
 // TestIssueDoesNotBlockOnStraggler pins the issue/collect contract: a
-// straggling peer must delay only collectGhostH, never the issue phase or
+// straggling peer must delay only the collect, never the issue phase or
 // the owned-partial compute between them.
 func TestIssueDoesNotBlockOnStraggler(t *testing.T) {
 	g, topo := pathTopo()
@@ -181,7 +183,8 @@ func TestIssueDoesNotBlockOnStraggler(t *testing.T) {
 
 	// Issue must return with the gate still closed — the batch runs on a
 	// background goroutine.
-	pend := w0.issueGhostH(1, 0)
+	pend := w0.ghostH.build(1, 0)
+	pend.fire(w0)
 
 	// The overlap window: owned-partial compute proceeds while the wire is
 	// (artificially forever) busy.
@@ -200,7 +203,7 @@ func TestIssueDoesNotBlockOnStraggler(t *testing.T) {
 	collected := make(chan struct{})
 	go func() {
 		defer wg.Done()
-		ghostOp, collectErr = w0.collectGhostH(pend, 1, 0)
+		ghostOp, collectErr = w0.ghostH.collect(pend, 1, 0)
 		close(collected)
 	}()
 	select {
@@ -223,5 +226,48 @@ func TestIssueDoesNotBlockOnStraggler(t *testing.T) {
 		if ghost.Data[i] != peerH.Data[i] {
 			t.Fatalf("ghost element %d = %v, want %v", i, ghost.Data[i], peerH.Data[i])
 		}
+	}
+}
+
+// TestOverlapEpochsDoNotLeakGoroutines runs overlap epochs through a
+// degraded epoch and one that fails hard past MaxStaleEpochs inside a
+// collect, then requires the goroutine count to return to its pre-cluster
+// baseline: every fired batch is joined or drains into its buffered
+// channel, whichever way the epoch ends.
+func TestOverlapEpochsDoNotLeakGoroutines(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	var faultEpoch atomic.Bool
+	_, _, step := faultCluster(t, Options{Overlap: true, MaxStaleEpochs: 1}, func(src, dst int, method string) bool {
+		return faultEpoch.Load() && method == MethodGetH
+	})
+	for e := 0; e < 2; e++ {
+		for _, err := range step(e) {
+			if err != nil {
+				t.Fatalf("clean epoch %d: %v", e, err)
+			}
+		}
+	}
+	faultEpoch.Store(true)
+	for _, err := range step(2) {
+		if err != nil {
+			t.Fatalf("degraded epoch should survive: %v", err)
+		}
+	}
+	failed := false
+	for _, err := range step(3) {
+		failed = failed || err != nil
+	}
+	if !failed {
+		t.Fatal("epoch beyond the staleness bound did not fail")
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("%d goroutines remain, %d before the cluster:\n%s", runtime.NumGoroutine(), baseline, buf[:n])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ecgraph/internal/compress"
 	"ecgraph/internal/ec"
 	"ecgraph/internal/graph"
 	"ecgraph/internal/nn"
@@ -96,22 +95,23 @@ type Options struct {
 	// degraded mode so any exhausted fetch is fatal.
 	MaxStaleEpochs int
 	// Overlap pipelines each layer's ghost exchange with its
-	// ghost-independent compute: the per-peer batch is issued on a
-	// background goroutine while the owned-column SpMM and the owned
-	// matmuls run, and the ghost contribution is folded in at collect time.
-	// Decode, EC requester state and degraded-mode bookkeeping stay on the
-	// epoch goroutine, so the result is bit-for-bit identical to the
-	// sequential path — both run the same shared layer functions, differing
-	// only in when the wire work happens.
+	// ghost-independent compute: the per-peer batch is fired on a
+	// background goroutine at issue while the owned-column SpMM and the
+	// owned matmuls run, and the ghost contribution is folded in at
+	// collect time. Off, issue runs the batch inline at the same point — a
+	// strict barrier before the layer's compute. Both settings run one
+	// epoch loop and one merge; decode, EC requester state and
+	// degraded-mode bookkeeping always run at collect on the epoch
+	// goroutine, so the result is bit-for-bit identical either way.
 	Overlap bool
 	// PackedSpMM computes the ghost aggregation directly on packed wire
-	// payloads (quantised-domain SpMM, DESIGN.md §15): eligible payloads
-	// stay in the block-quantised layout, the fold kernels dequantise on
-	// register through per-block LUTs, and layer-transient scratch comes
-	// from a per-worker arena — the steady-state fold allocates nothing.
-	// Off, every payload is decoded into a dense ghost matrix first: the
-	// bitwise oracle the packed path is asserted against (both compute
-	// bit-for-bit identical results by construction).
+	// payloads (quantised-domain SpMM, DESIGN.md §15): the fold kernels
+	// dequantise the block-quantised rows on register through per-block
+	// LUTs, and layer-transient scratch comes from a per-worker arena — the
+	// steady-state fold allocates nothing. Off, the fold decodes the same
+	// ghost operand to a dense matrix first and runs the dense kernel: the
+	// bitwise oracle the packed kernel is asserted against. The exchange,
+	// the merge and the degraded caches are the same either way.
 	PackedSpMM bool
 }
 
@@ -190,9 +190,9 @@ type Worker struct {
 	z    []*tensor.Matrix // Z^l owned pre-activations
 	ownH []*tensor.Matrix // H^l owned rows, ownH[0] = x
 
-	// EC state, preallocated per (layer, peer); nil entries where unused.
-	fpResp   [][]*ec.ForwardResponder // [layer][requester]
-	fpReq    [][]*ec.ForwardRequester // [layer][owner]
+	// Responder-side EC state, preallocated per (layer, requester); nil
+	// entries where unused. The ReqEC-FP requester lives in ghostH.
+	fpResp   [][]*ec.ForwardResponder
 	bpResp   [][]*ec.BackwardResponder
 	topkResp [][]*ec.TopKResponder
 
@@ -212,8 +212,9 @@ type Worker struct {
 	commWire    time.Duration
 	commBlocked time.Duration
 
-	// DistGNN delayed-aggregation ghost caches per layer.
-	ghostHCache []*tensor.Matrix
+	// ghostH and ghostG are the forward and backward ghost exchanges, each
+	// with its own degraded-mode state.
+	ghostH, ghostG *ghostChannel
 
 	// handoffH holds H rows received by view-change handoff for vertices
 	// this worker now owns but has never computed locally, per layer and
@@ -222,22 +223,8 @@ type Worker struct {
 	// first import.
 	handoffH []map[int32][]float32
 
-	// Degraded-mode state: the last successfully fetched ghost rows per
-	// (layer, owning peer) and the epoch they arrived, bounding how stale a
-	// served fallback may be. Only the epoch goroutine touches these.
-	// With PackedSpMM a payload that arrived packed is retained in
-	// hLastPacked/gLastPacked instead (the dense slot stays nil until a
-	// fallback materialises it via lastGoodH/lastGoodG); retained payloads
-	// are never Released — the words must not return to the pool while a
-	// future fallback may still read them.
-	hLastGood   [][]*tensor.Matrix // [layer][owner]
-	hLastEpoch  [][]int
-	gLastGood   [][]*tensor.Matrix
-	gLastEpoch  [][]int
-	hLastPacked [][]*compress.Blocked
-	gLastPacked [][]*compress.Blocked
-	degraded    int // degraded fetches served this epoch
-	skips       int // degraded fetches served proactively (suspect/straggling peer)
+	degraded int // degraded fetches served this epoch
+	skips    int // degraded fetches served proactively (suspect/straggling peer)
 
 	// scratch is the epoch goroutine's arena for layer-transient compute
 	// scratch: the packed fold's compact output and the tile scheduler's
@@ -278,6 +265,9 @@ func New(cfg Config) *Worker {
 		scratch:   tensor.NewArena(0),
 	}
 	w.obs = newWorkerObs(cfg.Metrics, cfg.Tracer, cfg.ID, L)
+	w.ghostH = newGhostChannel(w, MethodGetH, 'H', L+1, cfg.Topo.NumWorkers)
+	w.ghostH.subsetFlag = true
+	w.ghostG = newGhostChannel(w, MethodGetG, 'G', L+1, cfg.Topo.NumWorkers)
 	for i, v := range w.owned {
 		w.ownedPos[v] = int32(i)
 	}
@@ -347,12 +337,12 @@ func New(cfg Config) *Worker {
 	// EC state. FP responders/requesters cover embedding layers 1..L−1
 	// (layer 0 is the feature cache); BP responders cover layers 2..L.
 	w.fpResp = make([][]*ec.ForwardResponder, L+1)
-	w.fpReq = make([][]*ec.ForwardRequester, L+1)
 	w.bpResp = make([][]*ec.BackwardResponder, L+1)
 	if cfg.Opts.FPScheme == SchemeEC {
+		w.ghostH.req = make([][]*ec.ForwardRequester, L+1)
 		for l := 1; l < L; l++ {
 			w.fpResp[l] = make([]*ec.ForwardResponder, cfg.Topo.NumWorkers)
-			w.fpReq[l] = make([]*ec.ForwardRequester, cfg.Topo.NumWorkers)
+			w.ghostH.req[l] = make([]*ec.ForwardRequester, cfg.Topo.NumWorkers)
 			for i := range w.pairRows {
 				if w.pairRows[i] != nil {
 					r := ec.NewForwardResponder(cfg.Opts.Ttr)
@@ -363,7 +353,7 @@ func New(cfg Config) *Worker {
 				}
 			}
 			for _, j := range w.ghostOwner {
-				w.fpReq[l][j] = ec.NewForwardRequester(cfg.Opts.Ttr)
+				w.ghostH.req[l][j] = ec.NewForwardRequester(cfg.Opts.Ttr)
 			}
 		}
 	}
@@ -392,25 +382,7 @@ func New(cfg Config) *Worker {
 		w.tuner = ec.NewBitTuner(cfg.Opts.FPBits)
 	}
 	if cfg.Opts.DelayRounds >= 2 {
-		w.ghostHCache = make([]*tensor.Matrix, L+1)
-	}
-	w.hLastGood = make([][]*tensor.Matrix, L+1)
-	w.hLastEpoch = make([][]int, L+1)
-	w.gLastGood = make([][]*tensor.Matrix, L+1)
-	w.gLastEpoch = make([][]int, L+1)
-	w.hLastPacked = make([][]*compress.Blocked, L+1)
-	w.gLastPacked = make([][]*compress.Blocked, L+1)
-	for l := 0; l <= L; l++ {
-		w.hLastGood[l] = make([]*tensor.Matrix, cfg.Topo.NumWorkers)
-		w.gLastGood[l] = make([]*tensor.Matrix, cfg.Topo.NumWorkers)
-		w.hLastEpoch[l] = make([]int, cfg.Topo.NumWorkers)
-		w.gLastEpoch[l] = make([]int, cfg.Topo.NumWorkers)
-		w.hLastPacked[l] = make([]*compress.Blocked, cfg.Topo.NumWorkers)
-		w.gLastPacked[l] = make([]*compress.Blocked, cfg.Topo.NumWorkers)
-		for j := range w.hLastEpoch[l] {
-			w.hLastEpoch[l][j] = -1
-			w.gLastEpoch[l][j] = -1
-		}
+		w.ghostH.delayed = make([]*tensor.Matrix, L+1)
 	}
 	return w
 }
@@ -464,7 +436,7 @@ func (w *Worker) ResetCompensation() {
 			}
 		}
 	}
-	for _, layer := range w.fpReq {
+	for _, layer := range w.ghostH.req {
 		for _, r := range layer {
 			if r != nil {
 				r.Reset()
@@ -518,19 +490,8 @@ func (w *Worker) ResetSessionState() {
 	w.ResetCompensation()
 	w.hStore.Reset()
 	w.gStore.Reset()
-	for l := range w.hLastGood {
-		for j := range w.hLastGood[l] {
-			w.hLastGood[l][j] = nil
-			w.hLastEpoch[l][j] = -1
-			w.gLastGood[l][j] = nil
-			w.gLastEpoch[l][j] = -1
-			w.hLastPacked[l][j] = nil
-			w.gLastPacked[l][j] = nil
-		}
-	}
-	for l := range w.ghostHCache {
-		w.ghostHCache[l] = nil
-	}
+	w.ghostH.reset()
+	w.ghostG.reset()
 }
 
 // FetchGhostFeatures pulls the owned feature rows of every ghost vertex
@@ -597,11 +558,10 @@ type EpochReport struct {
 // gradients. It blocks on peers as needed and returns the local report.
 //
 // With Opts.Overlap the per-layer ghost exchanges are pipelined against the
-// ghost-independent compute (issueGhost*/collectGhost*); without it every
-// exchange is a strict barrier. Both variants run the same forwardLayer/
-// backwardLayer bodies — the overlap path is bit-for-bit identical to the
-// sequential oracle because only the timing of the wire work differs, never
-// the arithmetic or its order.
+// ghost-independent compute; without it every issue is a strict barrier.
+// Both settings run the same forward/backward loops — only where the batch
+// runs differs, never the arithmetic or its order, so the two are
+// bit-for-bit identical.
 func (w *Worker) RunEpoch(t int) (EpochReport, error) {
 	w.degraded = 0
 	w.skips = 0
@@ -616,12 +576,7 @@ func (w *Worker) RunEpoch(t int) (EpochReport, error) {
 	L := model.NumLayers()
 
 	// ---- Forward propagation ----
-	if w.cfg.Opts.Overlap {
-		err = w.forwardOverlap(t, L)
-	} else {
-		err = w.forwardSequential(t, L)
-	}
-	if err != nil {
+	if err := w.forward(t, L); err != nil {
 		return EpochReport{}, err
 	}
 
@@ -662,12 +617,7 @@ func (w *Worker) RunEpoch(t int) (EpochReport, error) {
 
 	// ---- Backward propagation ----
 	grads := nn.NewGradients(model)
-	if w.cfg.Opts.Overlap {
-		err = w.backwardOverlap(t, L, g, grads)
-	} else {
-		err = w.backwardSequential(t, L, g, grads)
-	}
-	if err != nil {
+	if err := w.backward(t, L, g, grads); err != nil {
 		return EpochReport{}, err
 	}
 
@@ -703,44 +653,25 @@ func (w *Worker) RunEpoch(t int) (EpochReport, error) {
 	return report, nil
 }
 
-// forwardSequential runs the forward pass with every ghost exchange as a
-// strict barrier before the layer's compute — the oracle the overlap path
-// is asserted bit-for-bit against.
-func (w *Worker) forwardSequential(t, L int) error {
-	for l := 1; l <= L; l++ {
-		ghost := graph.NewGhostDense(w.ghostX)
-		if l > 1 {
-			var err error
-			if ghost, err = w.fetchGhostH(l-1, t); err != nil {
-				return err
-			}
-		}
-		if err := w.forwardLayer(l, t, func() (*graph.GhostOperand, error) { return ghost, nil }); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// forwardOverlap pipelines the forward pass: as soon as layer l's owned
-// activations land in hStore (inside forwardLayer), the getH(l) batch for
-// layer l+1 is issued, so its wire time is hidden behind layer l+1's
-// ghost-independent compute. At steady state exactly one fetch is in
-// flight; collect joins it on the epoch goroutine before the ghost
-// contribution is folded in.
-func (w *Worker) forwardOverlap(t, L int) error {
+// forward runs the forward pass: as soon as layer l's owned activations
+// land in hStore (inside forwardLayer), the getH(l) batch for layer l+1 is
+// issued — under Overlap its wire time is hidden behind layer l+1's
+// ghost-independent compute. At most one exchange is outstanding; collect
+// merges it on the epoch goroutine before the ghost contribution is folded
+// in.
+func (w *Worker) forward(t, L int) error {
 	var pend *pendingGhost
 	for l := 1; l <= L; l++ {
 		collect := func() (*graph.GhostOperand, error) { return graph.NewGhostDense(w.ghostX), nil }
 		if l > 1 {
 			p, prevLayer := pend, l-1
-			collect = func() (*graph.GhostOperand, error) { return w.collectGhostH(p, prevLayer, t) }
+			collect = func() (*graph.GhostOperand, error) { return w.ghostH.collect(p, prevLayer, t) }
 		}
 		if err := w.forwardLayer(l, t, collect); err != nil {
 			return err
 		}
 		if l < L {
-			pend = w.issueGhostH(l, t)
+			pend = w.ghostH.issue(l, t)
 		}
 	}
 	return nil
@@ -750,8 +681,7 @@ func (w *Worker) forwardOverlap(t, L int) error {
 // ghost rows of H^{l-1} from collect. Everything before the collect call is
 // ghost-independent — the owned-column SpMM, the owned H·W and H·WSelf
 // matmuls — and is exactly the work the overlap path performs while the
-// exchange is on the wire. Both epoch paths execute this same body, so
-// their float operation sequences are identical.
+// exchange is on the wire.
 func (w *Worker) forwardLayer(l, t int, collect func() (*graph.GhostOperand, error)) error {
 	layer := w.cfg.Model.Layers[l-1]
 	h := w.ownH[l-1]
@@ -815,40 +745,19 @@ func (w *Worker) forwardLayer(l, t int, collect func() (*graph.GhostOperand, err
 	return nil
 }
 
-// backwardSequential runs the backward pass with blocking getG barriers,
-// mirroring forwardSequential.
-func (w *Worker) backwardSequential(t, L int, g *tensor.Matrix, grads *nn.Gradients) error {
-	for l := L; l >= 1; l-- {
-		var ghost *graph.GhostOperand
-		if l >= 2 {
-			w.gStore.Put(l, t, g)
-			var err error
-			if ghost, err = w.fetchGhostG(l, t); err != nil {
-				return err
-			}
-		}
-		gPrev, err := w.backwardLayer(l, g, grads, func() (*graph.GhostOperand, error) { return ghost, nil })
-		if err != nil {
-			return err
-		}
-		g = gPrev
-	}
-	return nil
-}
-
-// backwardOverlap pipelines the backward pass: the getG(l) batch is issued
-// the moment G^l lands in gStore, so the wire time is hidden behind the
+// backward runs the backward pass: the getG(l) batch is issued the moment
+// G^l lands in gStore — under Overlap its wire time is hidden behind the
 // layer's weight-gradient matmuls and the owned-column aggregation of g.
-func (w *Worker) backwardOverlap(t, L int, g *tensor.Matrix, grads *nn.Gradients) error {
+func (w *Worker) backward(t, L int, g *tensor.Matrix, grads *nn.Gradients) error {
 	for l := L; l >= 1; l-- {
 		var pend *pendingGhost
 		if l >= 2 {
 			w.gStore.Put(l, t, g)
-			pend = w.issueGhostG(l, t)
+			pend = w.ghostG.issue(l, t)
 		}
 		p, layer := pend, l
 		gPrev, err := w.backwardLayer(l, g, grads, func() (*graph.GhostOperand, error) {
-			return w.collectGhostG(p, layer, t)
+			return w.ghostG.collect(p, layer, t)
 		})
 		if err != nil {
 			return err
@@ -921,8 +830,8 @@ func (w *Worker) backwardLayer(l int, g *tensor.Matrix, grads *nn.Gradients, col
 // ghostFold computes the compact boundary-row ghost aggregation for a layer
 // fold. With PackedSpMM the hybrid operand feeds the packed kernel directly
 // — packed rows dequantise on register, the compact output comes from the
-// layer arena. Without it the operand is decoded into a dense matrix first
-// and the oracle kernel runs; the two paths are bit-for-bit identical by
+// layer arena. Without it the same operand is decoded into a dense matrix
+// first and the oracle kernel runs; the two are bit-for-bit identical by
 // construction (see internal/graph's packed bitwise tests). Nil when there
 // is nothing to fold.
 func (w *Worker) ghostFold(ghost *graph.GhostOperand) *tensor.Matrix {
